@@ -2,7 +2,8 @@
 
 The offline build environment lacks the ``wheel`` package, so PEP 660
 editable installs cannot run; this file lets ``pip install -e .`` fall back to
-``setup.py develop``.  All metadata lives in pyproject.toml.
+``setup.py develop``.  There is no pyproject.toml: the package metadata is
+the ``setup()`` call below, and dependencies are not declared.
 """
 
 from setuptools import find_packages, setup

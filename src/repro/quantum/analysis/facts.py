@@ -138,11 +138,11 @@ class CircuitFacts:
 
     @property
     def trajectory_eligible(self) -> bool:
-        """Whether the per-shot noise-draw schedule is state-independent.
+        """Whether the per-shot draw schedule is fixed under any noise model.
 
-        Mirrors :func:`repro.quantum.simulator.trajectory_draw_plan`
-        returning a plan: only conditional instructions make the draw
-        schedule depend on measured bits.
+        A conservative subset of :func:`repro.quantum.simulator.
+        trajectory_draw_plan` returning a plan: the simulator also batches
+        conditional gates that draw nothing under the given noise model.
         """
         return self.num_conditionals == 0
 

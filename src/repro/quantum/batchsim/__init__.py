@@ -3,21 +3,21 @@
 A numpy batch-axis simulator behind ``ExecutionService(executor="batch")``:
 compatible cache-miss work units (same compacted gate structure and qubit
 count; per-unit seed/shots/parameters distinct) evolve together as a
-``(batch, 2**n)`` state with one stacked matmul per gate, and noisy units
-batch across their *shots* by pre-drawing the serial noise stream.  Results
-are bit-identical to the serial engine per ``(seed, circuit, shots, noise)``
-— the batch axis is an execution detail, never an observable one.
+``(batch, 2**n)`` state with one stacked matmul per gate.  Shot-batched
+noisy trajectories are the simulator's own path, which every executor
+reaches; ``shots`` groups call it per unit.  Results are bit-identical to
+the serial engine per ``(seed, circuit, shots, noise)``.
 
 The cooperating pieces:
 
 * :mod:`~repro.quantum.batchsim.state` — the ``(batch, 2**n)`` state
-  container and the bit-exact stacked-matmul gate kernel;
+  container over the one gate kernel,
+  :func:`repro.quantum.statevector.apply_matrix`;
 * :mod:`~repro.quantum.batchsim.planner` — groups miss units by compacted
-  gate structure and classifies them ``ideal`` / ``shots`` / ``serial``,
-  mirroring the serial engine's own path choice;
+  gate structure and classifies them ``ideal`` / ``shots`` / ``serial``;
 * :mod:`~repro.quantum.batchsim.engine` — executes ideal groups (shared
-  evolution, per-unit sampling) and shot-batched noisy trajectories
-  (pre-drawn noise tables, per-Pauli sub-batches), tiled under a memory cap;
+  evolution, per-unit sampling, tiled under a memory cap) and hands
+  ``shots`` units to the simulator's trajectory runner;
 * :mod:`~repro.quantum.batchsim.dispatcher` — the service-facing entry that
   runs one group against a backend's noise model.
 

@@ -1,6 +1,6 @@
 """Execute planned groups on the batch axis, bit-identical to serial.
 
-Two vectorised paths, matching the serial engine's two paths:
+Two vectorised paths:
 
 * **ideal groups** — units sharing one gate structure evolve together: one
   |0...0> row per *distinct* circuit (units differing only in seed share a
@@ -8,18 +8,13 @@ Two vectorised paths, matching the serial engine's two paths:
   matmul, parameter-divergent positions gathered into per-parameter
   sub-batches.  Sampling then runs per unit with its own generator, so counts
   are bit-identical to ``Backend.execute_circuit`` per ``(seed, circuit)``.
-* **shot-batched trajectories** — one noisy unit's shots evolve as the batch
-  axis.  All uniform draws are taken up front in exactly the serial order
-  (row ``s`` of one ``rng.random((shots, per_shot))`` table is shot ``s``'s
-  stream — the generator fills row-major, so the table *is* the serial
-  sequence), then each gate is applied across all shots and each sampled
-  Pauli across its shot subset.  Measurement collapse stays per-row through
-  the serial helpers: gates dominate trajectory cost, and per-row collapse
-  keeps the norm arithmetic byte-for-byte the serial one.
+* **shot-batched trajectories** — each noisy unit runs the simulator's own
+  shot-batched runner, :func:`~repro.quantum.simulator.run_trajectories`,
+  with the unit's generator: the batch axis runs across its shots.
 
-Memory stays bounded by tiling the batch axis so no tile holds more than
-:data:`MAX_BATCH_AMPLITUDES` amplitudes; rows are independent, so tiling
-cannot affect results.
+Ideal groups stay bounded by tiling the batch axis so no tile holds more
+than :data:`MAX_BATCH_AMPLITUDES` amplitudes; rows are independent, so
+tiling cannot affect results.
 """
 
 from __future__ import annotations
@@ -27,23 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.quantum import gates as _gates
 from repro.quantum.batchsim.planner import IDEAL, SHOTS, PlannedGroup, PlannedUnit
-from repro.quantum.batchsim.state import BatchStatevector, batch_apply_matrix
+from repro.quantum.batchsim.state import BatchStatevector
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.simulator import (
-    _PAULI_MATRICES,
-    bit_rows_to_strings,
-    sample_from_state,
-    tally_counts,
-    trajectory_draw_plan,
-)
-from repro.quantum.statevector import (
-    Statevector,
-    collapse,
-    measure_probabilities,
-)
+from repro.quantum.simulator import run_trajectories, sample_from_state, tally_counts
+from repro.quantum.statevector import Statevector
 
 #: Cap on amplitudes held by one batch tile; 2**21 complex128 = 32 MiB.
 MAX_BATCH_AMPLITUDES = 2**21
@@ -64,7 +48,12 @@ def execute_group(
         return _execute_ideal(group.units, memory)
     if group.kind == SHOTS:
         return [
-            _execute_trajectory_unit(unit, noise, memory)
+            tally_counts(
+                run_trajectories(
+                    unit.compacted, unit.shots, np.random.default_rng(unit.seed), noise
+                ),
+                memory,
+            )
             for unit in group.units
         ]
     raise SimulationError(
@@ -138,106 +127,3 @@ def _evolve_rows(circuits: list[QuantumCircuit]) -> list[Statevector]:
         for offset in range(len(chunk)):
             states[start + offset] = Statevector(batch.row(offset))
     return states
-
-
-# -- shot-batched trajectory path ----------------------------------------------------
-
-
-def _execute_trajectory_unit(
-    unit: PlannedUnit, noise: NoiseModel | None, memory: bool
-) -> tuple[dict[str, int], list[str] | None]:
-    compacted = unit.compacted
-    plan = trajectory_draw_plan(compacted, noise)
-    rng = np.random.default_rng(unit.seed)
-    # Row s holds shot s's draws in exactly the order the serial loop would
-    # have consumed them: the generator fills the table row-major.
-    draws = rng.random((unit.shots, sum(plan)))
-    outcomes: list[str] = []
-    for start, stop in _tiles(unit.shots, compacted.num_qubits):
-        outcomes.extend(
-            _run_trajectory_tile(compacted, noise, draws[start:stop], plan)
-        )
-    return tally_counts(outcomes, memory)
-
-
-def _run_trajectory_tile(
-    circuit: QuantumCircuit,
-    noise: NoiseModel | None,
-    draws: np.ndarray,
-    plan: list[int],
-) -> list[str]:
-    """Evolve one tile of shots through the trajectory, gates batched.
-
-    ``draws[s, i]`` is the ``i``-th uniform the serial loop would draw for
-    shot ``s``; ``plan`` maps instructions to their per-shot draw widths, so
-    the cursor advances identically whether or not any branch fires.
-    """
-    num_qubits, num_clbits = circuit.num_qubits, circuit.num_clbits
-    batch = draws.shape[0]
-    states = np.zeros((batch, 2**num_qubits), dtype=np.complex128)
-    states[:, 0] = 1.0
-    clbits = np.zeros((batch, num_clbits), dtype=np.int64)
-    cursor = 0
-    for inst, width in zip(circuit, plan):
-        if inst.name == "barrier":
-            continue
-        if inst.name == "measure":
-            qubit = inst.qubits[0]
-            readout = noise.readout_for(qubit) if noise is not None else None
-            for s in range(batch):
-                p1 = measure_probabilities(states[s], qubit, num_qubits)
-                outcome = 1 if draws[s, cursor] < p1 else 0
-                states[s] = collapse(states[s], qubit, outcome, num_qubits)
-                recorded = outcome
-                if readout is not None:
-                    flip_p = (
-                        readout.p1_given_0
-                        if outcome == 0
-                        else readout.p0_given_1
-                    )
-                    if draws[s, cursor + 1] < flip_p:
-                        recorded = 1 - outcome
-                clbits[s, inst.clbits[0]] = recorded
-            cursor += width
-            continue
-        if inst.name == "reset":
-            qubit = inst.qubits[0]
-            flipped = []
-            for s in range(batch):
-                p1 = measure_probabilities(states[s], qubit, num_qubits)
-                outcome = 1 if draws[s, cursor] < p1 else 0
-                states[s] = collapse(states[s], qubit, outcome, num_qubits)
-                if outcome == 1:
-                    flipped.append(s)
-            if flipped:
-                states[flipped] = batch_apply_matrix(
-                    states[flipped], _gates.X_MATRIX, [qubit], num_qubits
-                )
-            cursor += width
-            continue
-        states = batch_apply_matrix(
-            states, inst.matrix(), inst.qubits, num_qubits
-        )
-        if width:
-            channel = noise.channel_for(inst.name, inst.qubits)
-            p_x = channel.p_x
-            p_xy = channel.p_x + channel.p_y
-            p_xyz = channel.p_x + channel.p_y + channel.p_z
-            for offset, qubit in enumerate(inst.qubits):
-                u = draws[:, cursor + offset]
-                # Same left-to-right threshold sums as PauliNoise.sample, so
-                # each shot lands in the identical branch it would serially.
-                x_mask = u < p_x
-                y_mask = ~x_mask & (u < p_xy)
-                z_mask = ~x_mask & ~y_mask & (u < p_xyz)
-                for mask, pauli in ((x_mask, "x"), (y_mask, "y"), (z_mask, "z")):
-                    rows = np.nonzero(mask)[0]
-                    if rows.size:
-                        states[rows] = batch_apply_matrix(
-                            states[rows],
-                            _PAULI_MATRICES[pauli],
-                            [qubit],
-                            num_qubits,
-                        )
-            cursor += width
-    return bit_rows_to_strings(clbits[:, ::-1] + ord("0"))

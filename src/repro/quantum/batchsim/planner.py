@@ -3,23 +3,23 @@
 The planner decides *what may share a batch*, and nothing else — it never
 changes results, because grouping only ever shares work that is provably
 identical (the gate structure) while everything sample-relevant (seed, shots,
-parameters) stays per unit.  Eligibility mirrors the serial engine's own path
-choice on the compacted circuit, so a unit batches exactly when
-``simulate_counts`` would have taken the corresponding path:
+parameters) stays per unit.  A unit takes a batch kind only where
+``simulate_counts`` would take the corresponding path on the compacted
+circuit:
 
 * **ideal** — fast-path circuits (no nontrivial noise, final measurements
   only), grouped by :func:`structure_fingerprint`: same gate names, qubits,
   clbits and conditions, parameters free.  The engine evolves the whole group
   on one batch axis and samples each unit with its own generator.
-* **shots** — trajectory-path circuits whose noise-draw schedule is
-  state-independent (:func:`~repro.quantum.simulator.trajectory_draw_plan`
-  returns a plan).  Each unit is its own group; the batch axis runs across
-  its shots.
-* **serial** — everything else: conditional instructions (draw schedule
-  depends on measured bits), circuits beyond the dense-width cap (the serial
-  path raises the canonical error per unit), and any backend that overrides
-  ``execute_circuit`` (its semantics are its own; see
-  :func:`batchable_backend`).
+* **shots** — trajectory-path circuits without conditionals
+  (:attr:`~repro.quantum.analysis.CircuitFacts.trajectory_eligible`).  Each
+  unit is its own group; the batch axis runs across its shots.
+* **serial** — everything else: conditional instructions, circuits beyond
+  the dense-width cap (the serial path raises the canonical error per unit),
+  and any backend that overrides ``execute_circuit`` (its semantics are its
+  own; see :func:`batchable_backend`).  A serial unit still runs the
+  simulator's own path choice, so a conditional circuit whose gates draw
+  nothing is shot-batched there.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def plan(backend: Backend, units: list[PlannedUnit]) -> list[PlannedGroup]:
 
     Routing reads only each unit's :class:`CircuitFacts` —
     ``repro.quantum.analysis`` is the single source of truth for width,
-    fast-path eligibility and trajectory-batchability, so the planner can
-    never disagree with the serial engine's own classification.
+    fast-path eligibility and trajectory-batchability, so the planner never
+    batches a unit the serial engine would not.
 
     Group order is deterministic (first appearance of each structure), and
     the serial group, when present, comes last.

@@ -1,21 +1,11 @@
 """Batched dense statevectors: ``(batch, 2**n)`` state evolved in lockstep.
 
-The batch axis must not perturb numerics.  Batched executions feed the same
-content-addressed result cache as serial ones, so a batch result that differs
-from its serial twin — even in the last ulp, which shifts sampled counts —
-would poison every later lookup.  The kernel here therefore mirrors
-:func:`repro.quantum.statevector.apply_matrix` *exactly* and adds the batch as
-a gufunc stack dimension: after moving the target axes to the front of each
-row's qubit tensor, the rows are packed contiguously as ``(batch, 2**k,
-rest)`` and multiplied with one ``np.matmul`` call.  Every 2-D slice of that
-stacked matmul is the identical GEMM shape the serial kernel issues, so BLAS
-takes the same code path per row and the results match bit for bit.
-
-The tempting alternative — folding the batch into the matmul's *column*
-dimension, ``matrix @ (2**k, batch * rest)`` — is measurably **not**
-bit-identical per column: widening the GEMM changes the kernel BLAS selects
-and with it the floating-point summation order (~1e-16 deviations on a third
-of random trials).  Do not "simplify" the kernel into that form.
+The batch axis must not perturb numerics: batched executions feed the same
+content-addressed result cache as serial ones.  There is no batch kernel of
+its own: :func:`repro.quantum.statevector.apply_matrix` takes a flat state or
+a ``(batch, 2**n)`` stack and issues the identical per-row GEMM either way,
+so every row matches its serial twin bit for bit.  Its docstring records why
+the batch must never be folded into the matmul's column dimension.
 """
 
 from __future__ import annotations
@@ -26,36 +16,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.quantum.statevector import apply_matrix
 
-
-def batch_apply_matrix(
-    states: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Apply one ``2^k x 2^k`` unitary to ``targets`` of every batched state.
-
-    ``states`` is ``(batch, 2**num_qubits)``; returns a new array of the same
-    shape whose row ``i`` equals ``apply_matrix(states[i], matrix, targets,
-    num_qubits)`` bit for bit.
-    """
-    k = len(targets)
-    if matrix.shape != (2**k, 2**k):
-        raise SimulationError(
-            f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
-        )
-    batch = states.shape[0]
-    tensor = states.reshape([batch] + [2] * num_qubits)
-    # Same axis arithmetic as the serial kernel, shifted right by the batch
-    # axis: tensor axis 1+j is qubit (num_qubits - 1 - j) of each row.
-    src_axes = [1 + num_qubits - 1 - t for t in reversed(targets)]
-    tensor = np.moveaxis(tensor, src_axes, range(1, 1 + k))
-    stacked = np.ascontiguousarray(tensor).reshape(batch, 2**k, -1)
-    stacked = np.matmul(matrix, stacked)
-    tensor = stacked.reshape([batch] + [2] * num_qubits)
-    tensor = np.moveaxis(tensor, range(1, 1 + k), src_axes)
-    return tensor.reshape(batch, 2**num_qubits)
+#: The one gate kernel under its batch-facing name: ``apply_matrix`` takes a
+#: ``(batch, 2**n)`` stack as readily as a flat state.
+batch_apply_matrix = apply_matrix
 
 
 class BatchStatevector:
@@ -95,7 +60,7 @@ class BatchStatevector:
 
     def apply(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
         """Apply one unitary to every row in place."""
-        self._data = batch_apply_matrix(
+        self._data = apply_matrix(
             self._data, matrix, targets, self._num_qubits
         )
 
@@ -110,7 +75,7 @@ class BatchStatevector:
         if not len(rows):
             return
         sub = self._data[rows]
-        self._data[rows] = batch_apply_matrix(
+        self._data[rows] = apply_matrix(
             sub, matrix, targets, self._num_qubits
         )
 

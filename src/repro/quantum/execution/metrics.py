@@ -6,9 +6,11 @@ the work queue, the job store, and the per-tenant registry counters as
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_:
 ``# HELP`` / ``# TYPE`` comment pairs followed by ``name{labels} value``
 sample lines.  The mapping is mechanical — numeric stats keys become
-``repro_service_<key>`` gauges, string-valued keys collapse into one
-``repro_service_info`` sample with label values — so any counter added
-to ``stats()`` in a future PR is exported without touching this module.
+``repro_service_<key>_total`` counters, except the readings in
+:data:`SERVICE_GAUGES`, which stay ``repro_service_<key>`` gauges;
+string-valued keys collapse into one ``repro_service_info`` sample with
+label values — so any counter added to ``stats()`` later is exported
+without touching this module.
 
 Everything here is pure string formatting on snapshots taken by the
 caller; no locks, no I/O.
@@ -21,6 +23,7 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "METRICS_CONTENT_TYPE",
+    "SERVICE_GAUGES",
     "escape_label_value",
     "render_samples",
     "serving_metrics",
@@ -29,6 +32,9 @@ __all__ = [
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _PREFIX = "repro"
+
+#: Numeric ``service.stats()`` keys that can go down: exported as gauges.
+SERVICE_GAUGES = frozenset({"cache_hit_rate", "cache_entries"})
 
 
 def escape_label_value(value: str) -> str:
@@ -103,7 +109,11 @@ def serving_metrics(
         info_labels: dict[str, str] = {}
         for key, value in service_stats.items():
             if isinstance(value, bool) or isinstance(value, numbers.Number):
-                samples.append((f"{_PREFIX}_service_{key}", None, value))
+                name = f"{_PREFIX}_service_{key}"
+                if key not in SERVICE_GAUGES:
+                    name += "_total"
+                    types[name] = "counter"
+                samples.append((name, None, value))
             else:
                 info_labels[key] = str(value)
         if info_labels:

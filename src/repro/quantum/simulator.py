@@ -1,12 +1,16 @@
 """Circuit execution engines: ideal sampling and Monte-Carlo noisy trajectories.
 
-Two paths:
+Three paths:
 
 * **fast path** — no gate noise, no reset, no conditionals, measurements only
   at circuit positions that are never followed by gates on the same qubit:
   evolve the statevector once and multinomially sample the joint distribution.
-* **trajectory path** — everything else: one statevector trajectory per shot,
-  sampling Pauli noise after each gate and readout flips at each measurement.
+* **shot-batched trajectory path** — every other circuit whose draw schedule
+  is state-independent (:func:`trajectory_draw_plan`): a tile of shots
+  evolves as one ``(tile, 2**n)`` stack, bit-identical to the per-shot path.
+* **per-shot trajectory path** — circuits with a conditional that draws (a
+  conditional measure or reset, or a conditional gate under a noise channel):
+  one trajectory per shot.  It is also the batched path's test reference.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ MAX_DENSE_QUBITS = 20
 #: (a non-unitary "gate" matrix, manual state surgery) and sampling from it
 #: would silently launder the corruption into plausible-looking counts.
 NORM_ATOL = 1e-6
+
+#: Cap on amplitudes one shot-batched trajectory tile holds (2**12 complex128
+#: = 64 KiB), which also bounds the tile's slice of the uniform-draw table.
+TRAJECTORY_TILE_AMPLITUDES = 2**12
 
 _PAULI_MATRICES = {
     "x": _gates.X_MATRIX,
@@ -148,58 +156,40 @@ def _fast_sample(
     return sample_from_state(state, mapping, circuit.num_clbits, shots, rng)
 
 
-def _apply_gate_noise(
-    state: np.ndarray,
-    inst: Instruction,
-    noise: NoiseModel | None,
-    num_qubits: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    if noise is None:
-        return state
-    channel = noise.channel_for(inst.name, inst.qubits)
-    if channel is None:
-        return state
-    for q in inst.qubits:
-        pauli = channel.sample(rng)
-        if pauli is not None:
-            state = apply_matrix(state, _PAULI_MATRICES[pauli], [q], num_qubits)
-    return state
-
-
 def trajectory_draw_plan(
     circuit: QuantumCircuit, noise: NoiseModel | None
 ) -> list[int] | None:
     """Per-instruction uniform-draw counts of one :func:`_run_trajectory` shot.
 
-    The trajectory path consumes ``rng.random()`` in a fixed, state-independent
-    order: a measurement draws its outcome plus one readout flip when the
-    qubit has a readout error; a reset draws its outcome; a unitary gate draws
-    one Pauli choice per touched qubit when a noise channel applies; barriers
-    draw nothing.  That fixed schedule is what lets the batch engine pre-draw
-    a ``(shots, total)`` table and replay the serial stream exactly.
+    The trajectory path consumes ``rng.random()`` in a fixed order: a
+    measurement draws its outcome plus one readout flip when the qubit has a
+    readout error; a reset draws its outcome; a unitary gate draws one Pauli
+    choice per touched qubit when a noise channel applies; barriers draw
+    nothing.  That fixed schedule is what lets the shot-batched path draw a
+    ``(shots, total)`` table and replay the serial stream exactly.
 
-    Returns ``None`` when the schedule *is* state-dependent — conditional
-    instructions skip their draws when the condition fails — in which case
-    shots cannot be batched and the caller must fall back to the serial loop.
+    Returns ``None`` when the schedule *is* state-dependent: a conditional
+    instruction that would itself draw (a measure, a reset, or a gate under a
+    noise channel) skips its draws when the condition fails.  A conditional
+    gate that draws nothing keeps the schedule fixed and gets width 0.
     """
     plan: list[int] = []
     for inst in circuit:
-        if inst.condition is not None:
-            return None
         if inst.name == "barrier":
-            plan.append(0)
+            draws = 0
         elif inst.name == "measure":
             draws = 1
             if noise is not None and noise.readout_for(inst.qubits[0]) is not None:
                 draws += 1
-            plan.append(draws)
         elif inst.name == "reset":
-            plan.append(1)
+            draws = 1
         elif noise is not None and noise.channel_for(inst.name, inst.qubits) is not None:
-            plan.append(len(inst.qubits))
+            draws = len(inst.qubits)
         else:
-            plan.append(0)
+            draws = 0
+        if draws and inst.condition is not None:
+            return None
+        plan.append(draws)
     return plan
 
 
@@ -241,8 +231,130 @@ def _run_trajectory(
                 state = apply_matrix(state, _gates.X_MATRIX, [qubit], n)
             continue
         state = apply_matrix(state, inst.matrix(), inst.qubits, n)
-        state = _apply_gate_noise(state, inst, noise, n, rng)
+        channel = None if noise is None else noise.channel_for(inst.name, inst.qubits)
+        if channel is not None:
+            for q in inst.qubits:
+                pauli = channel.sample(rng)
+                if pauli is not None:
+                    state = apply_matrix(state, _PAULI_MATRICES[pauli], [q], n)
     return "".join(str(b) for b in reversed(clbits))
+
+
+def trajectory_tile_shots(num_qubits: int) -> int:
+    """Shots per tile under :data:`TRAJECTORY_TILE_AMPLITUDES`."""
+    return max(1, TRAJECTORY_TILE_AMPLITUDES >> num_qubits)
+
+
+def run_trajectories(
+    circuit: QuantumCircuit,
+    shots: int,
+    rng: np.random.Generator,
+    noise: NoiseModel | None,
+) -> list[str]:
+    """Per-shot bitstrings of ``shots`` noisy trajectories of a compacted circuit.
+
+    Shot-batched in tiles when the draw schedule is state-independent, else
+    one :func:`_run_trajectory` per shot; both consume ``rng`` identically.
+    """
+    plan = trajectory_draw_plan(circuit, noise)
+    if plan is None:
+        return [_run_trajectory(circuit, noise, rng) for _ in range(shots)]
+    width = sum(plan)
+    tile = trajectory_tile_shots(circuit.num_qubits)
+    outcomes: list[str] = []
+    for start in range(0, shots, tile):
+        # Row s holds shot s's draws in exactly the order the serial loop
+        # would consume them: the generator fills the table row-major, so
+        # drawing each tile's slice as it starts replays the serial stream.
+        draws = rng.random((min(tile, shots - start), width))
+        outcomes.extend(_run_trajectory_tile(circuit, noise, draws, plan))
+    return outcomes
+
+
+def _apply_rows(
+    states: np.ndarray,
+    mask: np.ndarray,
+    matrix: np.ndarray,
+    targets: tuple[int, ...],
+    num_qubits: int,
+) -> None:
+    """Apply one unitary to the masked rows in place: gather, evolve, scatter."""
+    if mask.any():
+        states[mask] = apply_matrix(states[mask], matrix, targets, num_qubits)
+
+
+def _run_trajectory_tile(
+    circuit: QuantumCircuit,
+    noise: NoiseModel | None,
+    draws: np.ndarray,
+    plan: list[int],
+) -> list[str]:
+    """Evolve one tile of shots through the trajectory, gates batched.
+
+    ``draws[s, i]`` is the ``i``-th uniform the serial loop would draw for
+    shot ``s``; ``plan`` holds the per-instruction draw widths.  Collapse
+    stays per row through the serial helpers, keeping their norm arithmetic.
+    """
+    num_qubits, num_clbits = circuit.num_qubits, circuit.num_clbits
+    batch = draws.shape[0]
+    states = np.zeros((batch, 2**num_qubits), dtype=np.complex128)
+    states[:, 0] = 1.0
+    clbits = np.zeros((batch, num_clbits), dtype=np.uint8)
+    cursor = 0
+    for inst, width in zip(circuit, plan):
+        if inst.name == "barrier":
+            continue
+        if inst.condition is not None:
+            # The plan admits only draw-free conditional gates here.
+            bit, value = inst.condition
+            matching = clbits[:, bit] == value
+            _apply_rows(states, matching, inst.matrix(), inst.qubits, num_qubits)
+            continue
+        if inst.name == "measure":
+            qubit = inst.qubits[0]
+            readout = noise.readout_for(qubit) if noise is not None else None
+            for s in range(batch):
+                p1 = measure_probabilities(states[s], qubit, num_qubits)
+                outcome = 1 if draws[s, cursor] < p1 else 0
+                states[s] = collapse(states[s], qubit, outcome, num_qubits)
+                recorded = outcome
+                if readout is not None:
+                    flip_p = readout.p0_given_1 if outcome else readout.p1_given_0
+                    if draws[s, cursor + 1] < flip_p:
+                        recorded = 1 - outcome
+                clbits[s, inst.clbits[0]] = recorded
+            cursor += width
+            continue
+        if inst.name == "reset":
+            qubit = inst.qubits[0]
+            flipped = np.zeros(batch, dtype=bool)
+            for s in range(batch):
+                p1 = measure_probabilities(states[s], qubit, num_qubits)
+                outcome = 1 if draws[s, cursor] < p1 else 0
+                states[s] = collapse(states[s], qubit, outcome, num_qubits)
+                flipped[s] = outcome == 1
+            _apply_rows(states, flipped, _gates.X_MATRIX, (qubit,), num_qubits)
+            cursor += width
+            continue
+        states = apply_matrix(states, inst.matrix(), inst.qubits, num_qubits)
+        if width:
+            channel = noise.channel_for(inst.name, inst.qubits)
+            p_x = channel.p_x
+            p_xy = channel.p_x + channel.p_y
+            p_xyz = channel.p_x + channel.p_y + channel.p_z
+            for offset, qubit in enumerate(inst.qubits):
+                u = draws[:, cursor + offset]
+                # Same left-to-right threshold sums as PauliNoise.sample, so
+                # each shot lands in the identical branch it would serially.
+                x_mask = u < p_x
+                y_mask = ~x_mask & (u < p_xy)
+                z_mask = ~x_mask & ~y_mask & (u < p_xyz)
+                for mask, pauli in zip(
+                    (x_mask, y_mask, z_mask), (_PAULI_MATRICES[p] for p in "xyz")
+                ):
+                    _apply_rows(states, mask, pauli, (qubit,), num_qubits)
+            cursor += width
+    return bit_rows_to_strings(clbits[:, ::-1] + ord("0"))
 
 
 def simulate_counts(
@@ -272,7 +384,7 @@ def simulate_counts(
     if facts.is_fast_path(noise):
         outcomes = _fast_sample(circuit, shots, rng)
     else:
-        outcomes = [_run_trajectory(circuit, noise, rng) for _ in range(shots)]
+        outcomes = run_trajectories(circuit, shots, rng, noise)
     return tally_counts(outcomes, memory)
 
 

@@ -10,6 +10,7 @@ identically.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Sequence
 
@@ -29,46 +30,71 @@ def apply_matrix(
 ) -> np.ndarray:
     """Apply a ``2^k x 2^k`` unitary to ``targets`` of an ``n``-qubit state.
 
-    The matrix convention is little-endian in instruction order: the *first*
-    qubit in ``targets`` is the least-significant bit of the matrix index.
-    Returns a new flat state vector.
+    ``state`` is one flat state or a ``(batch, 2**n)`` stack; returns a new
+    array of the same shape.  The *first* qubit in ``targets`` is the
+    least-significant bit of the matrix index.
+
+    A flat state runs as a batch of one: the rows are packed as ``(batch,
+    2**k, rest)`` and multiplied with one stacked ``np.matmul``, so every row
+    is the same GEMM whatever the batch size and equals its flat twin bit for
+    bit (results feed the content-addressed cache, where a last-ulp change
+    shifts sampled counts).  Folding the batch into the matmul's *columns*,
+    ``matrix @ (2**k, batch * rest)``, changes the BLAS kernel and the
+    summation order (~1e-16 on a third of random trials).  Do not "simplify"
+    the kernel into that form; ``tools/repo_lint.py`` rule R003 flags it.
     """
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
         raise SimulationError(
             f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
         )
-    tensor = state.reshape([2] * num_qubits)
-    # Axis j of the tensor corresponds to qubit (num_qubits - 1 - j).  The
-    # combined row index after reshape(2**k, -1) treats axis 0 as its MSB, and
-    # our matrices treat targets[0] as the LSB, so move the *reversed* target
-    # axes to the front.
-    src_axes = [num_qubits - 1 - t for t in reversed(targets)]
-    tensor = np.moveaxis(tensor, src_axes, range(k))
-    rest_shape = tensor.shape[k:]
-    mat_view = tensor.reshape(2**k, -1)
-    mat_view = matrix @ mat_view
-    tensor = mat_view.reshape((2,) * k + rest_shape)
-    tensor = np.moveaxis(tensor, range(k), src_axes)
-    return tensor.reshape(-1)
+    rows = state.reshape(-1, 2**num_qubits)
+    batch = rows.shape[0]
+    perm, inverse = _axis_permutation(num_qubits, tuple(targets))
+    tensor = rows.reshape((batch,) + (2,) * num_qubits).transpose(perm)
+    stacked = np.ascontiguousarray(tensor).reshape(batch, 2**k, -1)
+    stacked = np.matmul(matrix, stacked)
+    tensor = stacked.reshape((batch,) + (2,) * num_qubits).transpose(inverse)
+    return tensor.reshape(state.shape)
+
+
+@functools.lru_cache(maxsize=4096)
+def _axis_permutation(
+    num_qubits: int, targets: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose orders moving ``targets`` to the front of a row tensor, and back.
+
+    Axis ``1 + j`` of the ``(batch, 2, ..., 2)`` tensor is qubit
+    ``num_qubits - 1 - j``.  The row index after the reshape treats the first
+    moved axis as its MSB and our matrices treat ``targets[0]`` as the LSB,
+    so the *reversed* target axes go to the front.  Cached: ``np.moveaxis``
+    argument checks, not data movement, dominated 3-5 qubit gates.
+    """
+    front = [num_qubits - t for t in reversed(targets)]
+    perm = (0, *front, *(a for a in range(1, num_qubits + 1) if a not in front))
+    return perm, tuple(perm.index(axis) for axis in range(len(perm)))
+
+
+@functools.lru_cache(maxsize=256)
+def _one_mask(num_qubits: int, qubit: int) -> np.ndarray:
+    """Read-only mask of the basis indices whose ``qubit`` bit is 1."""
+    mask = (np.arange(2**num_qubits) & (1 << qubit)) != 0
+    mask.setflags(write=False)
+    return mask
 
 
 def measure_probabilities(state: np.ndarray, qubit: int, num_qubits: int) -> float:
     """Return P(qubit = 1) for one qubit of a flat state."""
     probs = np.abs(state) ** 2
-    mask = 1 << qubit
-    indices = np.arange(2**num_qubits)
-    return float(probs[(indices & mask) != 0].sum())
+    return float(probs[_one_mask(num_qubits, qubit)].sum())
 
 
 def collapse(
     state: np.ndarray, qubit: int, outcome: int, num_qubits: int
 ) -> np.ndarray:
     """Project a flat state onto ``qubit == outcome`` and renormalise."""
-    mask = 1 << qubit
-    indices = np.arange(2**num_qubits)
-    keep = ((indices & mask) != 0) == bool(outcome)
-    new = np.where(keep, state, 0.0)
+    ones = _one_mask(num_qubits, qubit)
+    new = np.where(ones, state, 0.0) if outcome else np.where(ones, 0.0, state)
     norm = np.linalg.norm(new)
     if norm < _ATOL:
         raise SimulationError(

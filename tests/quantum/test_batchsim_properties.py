@@ -418,11 +418,24 @@ class TestDrawPlan:
         qc.measure(0, 0)
         assert trajectory_draw_plan(qc, noise) == [0, 1]
 
-    def test_conditionals_have_no_static_plan(self):
+    @pytest.mark.parametrize(
+        "name, qubits", [("measure", [1]), ("reset", [1]), ("x", [1])]
+    )
+    def test_drawing_conditionals_have_no_static_plan(self, name, qubits):
+        # A conditional that would itself draw (a measure, a reset, or a gate
+        # under a noise channel) skips its draws when the condition fails.
+        noise = NoiseModel.uniform_depolarizing(0.01, 0.02)
+        qc = QuantumCircuit(2, 2)
+        qc.measure(0, 0)
+        clbits = [1] if name == "measure" else []
+        qc.append(name, qubits, clbits, condition=(0, 1))
+        assert trajectory_draw_plan(qc, noise) is None
+
+    def test_draw_free_conditional_gate_gets_a_plan(self):
         qc = QuantumCircuit(2, 2)
         qc.measure(0, 0)
         qc.append("x", [1], condition=(0, 1))
-        assert trajectory_draw_plan(qc, NoiseModel()) is None
+        assert trajectory_draw_plan(qc, NoiseModel()) == [1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,14 @@ class TestR003ColumnFoldedMatmul:
         path = "src/repro/quantum/batchsim/state.py"
         assert codes(self.GOOD_STACKED, path) == []
 
-    def test_outside_batchsim_not_flagged(self):
-        # The rule guards the batch kernel's bit-identity contract only.
-        assert codes(self.BAD_OPERATOR, "src/repro/quantum/statevector.py") == []
+    @pytest.mark.parametrize("form", ["BAD_OPERATOR", "BAD_NP_MATMUL"])
+    def test_column_folded_form_flagged_in_statevector(self, form):
+        # The one gate kernel lives in statevector.py and serves stacks too.
+        path = "src/repro/quantum/statevector.py"
+        assert codes(getattr(self, form), path) == ["R003"]
+
+    def test_outside_kernel_modules_not_flagged(self):
+        assert codes(self.BAD_OPERATOR, "src/repro/quantum/simulator.py") == []
 
     def test_three_arg_reshape_allowed(self):
         src = """

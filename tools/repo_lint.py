@@ -25,10 +25,11 @@ R002  Two or more ``.stats()`` calls inside one function: the
 
 R003  Column-folded batch kernel: ``matrix @ x.reshape(a, b)`` (or
       ``np.matmul`` with a direct 2-argument ``.reshape`` second operand)
-      under ``batchsim/``.  Folding the batch into the GEMM's column
-      dimension changes the BLAS kernel and breaks bit-identity with the
-      serial simulator (see ``batchsim/state.py``); the sanctioned kernel
-      stacks to 3-D and lets matmul broadcast.
+      under ``batchsim/`` or in ``statevector.py``, where the one gate
+      kernel lives.  Folding the batch into the GEMM's column dimension
+      changes the BLAS kernel and breaks bit-identity between a batched row
+      and its flat twin (see ``statevector.apply_matrix``); the sanctioned
+      kernel stacks to 3-D and lets matmul broadcast.
 
 R004  Dead transpiler pass: a public function in a pass-library module
       (``transpiler/passes.py``) referenced nowhere outside its own module.
@@ -71,8 +72,8 @@ R001_ALLOWED = (
     ("quantum", "backend.py"),
 )
 
-#: R003 only applies under these directory names.
-R003_DIRS = {"batchsim"}
+#: R003 only applies to paths with one of these directory or file names.
+R003_DIRS = {"batchsim", "statevector.py"}
 
 #: Pass-library modules (by trailing path parts) whose public functions R004
 #: requires to be referenced somewhere outside their own module.
@@ -166,7 +167,7 @@ def _is_two_arg_reshape(node: ast.expr) -> bool:
 
 
 def _check_column_folded_matmul(path: Path, tree: ast.AST) -> list[Violation]:
-    """R003: ``matrix @ x.reshape(a, b)`` in batchsim kernels."""
+    """R003: ``matrix @ x.reshape(a, b)`` in the gate kernel's modules."""
     if not R003_DIRS.intersection(path.parts):
         return []
     found = []
