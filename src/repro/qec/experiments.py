@@ -27,12 +27,12 @@ backend, which buys
 * **observability** — decoder benchmarking now shows up in
   ``service.stats()`` next to circuit simulation counters.
 
-The per-shot randomness is derived by
-:func:`repro.qec.syndrome.memory_shot_rng` exactly as the pre-service inline
-loop derived it, so routed results are bit-identical to the legacy path.
-Decoders the service cannot reconstruct in a worker process (anything other
-than the stock MWPM/union-find/lookup decoders bound to the experiment's code
-and error type) transparently fall back to the inline loop.
+Both the backend and the inline fallback run the same shot loop, with
+per-shot randomness from :func:`repro.qec.syndrome.memory_shot_rng`, so
+routed results are bit-identical to inline ones.  Decoders the service
+cannot reconstruct in a worker process (anything other than the stock
+MWPM/union-find/lookup decoders bound to the experiment's code and error
+type) transparently fall back to the inline loop.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ class MemoryExperimentBackend(Backend):
 
     ``counts`` uses one classical bit: ``"1"`` is a logical failure (the
     decoder's correction left the stored observable flipped), ``"0"`` a
-    success; ``memory=True`` returns the per-shot outcome bits.  The per-shot
-    RNG derivation matches the legacy inline loop exactly, so routed and
-    inline runs agree bit-for-bit.
+    success; ``memory=True`` returns the per-shot outcome bits.  It runs the
+    same shot loop as the inline fallback, so routed and inline runs agree
+    bit-for-bit.
     """
 
     def __init__(self) -> None:
@@ -232,37 +232,24 @@ class MemoryExperimentBackend(Backend):
                 f"backend '{self.name}' executes MemoryExperimentCircuit "
                 f"submissions only, got circuit '{circuit.name}'"
             )
-        decoder = spec.build_decoder()
-        entropy = np.random.default_rng() if seed is None else None
-        bits: list[str] = []
-        failures = 0
-        for shot in range(shots):
-            if entropy is not None:
-                rng = entropy
-            else:
-                rng = memory_shot_rng(
-                    seed, spec.code, spec.rounds, spec.p_data, spec.p_meas, shot
-                )
-            history = sample_memory(
-                spec.code,
-                spec.rounds,
-                spec.p_data,
-                spec.p_meas,
-                rng,
-                spec.error_type,
-            )
-            result = decoder.decode(history)
-            residual = history.true_error ^ result.correction
-            failed = spec.code.logical_flipped(residual, spec.error_type)
-            failures += int(failed)
-            if memory:
-                bits.append("1" if failed else "0")
+        outcomes = _shot_outcomes(
+            spec.code,
+            spec.build_decoder(),
+            spec.rounds,
+            spec.p_data,
+            spec.p_meas,
+            shots,
+            seed,
+            spec.error_type,
+        )
+        failures = sum(outcomes)
         counts: dict[str, int] = {}
         if shots - failures:
             counts["0"] = shots - failures
         if failures:
             counts["1"] = failures
-        return counts, (bits if memory else None)
+        bits = ["1" if failed else "0" for failed in outcomes] if memory else None
+        return counts, bits
 
 
 if MEMORY_BACKEND not in list_backends():  # idempotent under re-import
@@ -271,26 +258,32 @@ if MEMORY_BACKEND not in list_backends():  # idempotent under re-import
     )
 
 
-def _inline_failures(
+def _shot_outcomes(
     code: CSSCode,
     decoder,
     rounds: int,
     p_data: float,
     p_meas: float,
     shots: int,
-    seed: int,
+    seed: int | None,
     error_type: str,
-) -> int:
-    """Legacy shot loop for decoders the service cannot reconstruct."""
-    failures = 0
+) -> list[bool]:
+    """Sample, decode and score each shot; one logical-failure flag per shot.
+
+    Shot ``i`` draws from :func:`memory_shot_rng` under ``seed``, or from one
+    fresh entropy-seeded generator when ``seed`` is ``None``.  The
+    ``qec_memory`` backend and the inline fallback share this loop.
+    """
+    rng = np.random.default_rng() if seed is None else None
+    outcomes = []
     for shot in range(shots):
-        rng = memory_shot_rng(seed, code, rounds, p_data, p_meas, shot)
+        if seed is not None:
+            rng = memory_shot_rng(seed, code, rounds, p_data, p_meas, shot)
         history = sample_memory(code, rounds, p_data, p_meas, rng, error_type)
         result = decoder.decode(history)
         residual = history.true_error ^ result.correction
-        if code.logical_flipped(residual, error_type):
-            failures += 1
-    return failures
+        outcomes.append(bool(code.logical_flipped(residual, error_type)))
+    return outcomes
 
 
 def logical_error_rate(
@@ -313,16 +306,18 @@ def logical_error_rate(
     Stock decoders (MWPM/union-find/lookup bound to ``code`` and
     ``error_type``) execute through the shared :class:`ExecutionService` —
     batched, cached, and visible in ``service.stats()``; anything else falls
-    back to the equivalent inline loop.  Both paths derive per-shot RNGs
-    identically, so the choice never changes the result.
+    back to the inline loop.  Both paths run the same shot loop, so the
+    choice never changes the result.
     """
     if shots < 1:
         raise QECError("memory experiment needs >= 1 shot")
     p_meas = p_data if p_meas is None else p_meas
     routed = _classify_decoder(decoder, code, error_type)
     if routed is None:
-        failures = _inline_failures(
-            code, decoder, rounds, p_data, p_meas, shots, seed, error_type
+        failures = sum(
+            _shot_outcomes(
+                code, decoder, rounds, p_data, p_meas, shots, seed, error_type
+            )
         )
     else:
         kind, args = routed

@@ -7,20 +7,31 @@ or to the spatial boundary — with cost equal to their space-time separation;
 the corrections are the data qubits along the spatial part of each matched
 path.
 
-Matching runs on a complete graph over events plus one *boundary twin* per
-event (twins interconnect at zero cost), reduced to networkx's
-``max_weight_matching`` with negated costs; this is the standard exact
-reduction of boundary matching to perfect matching.
+Matching runs on a graph over the events plus one *boundary twin* per event:
+event–event edges cost the space-time distance, each event–twin edge costs
+the event's distance to the boundary, and twins interconnect at zero cost.
+A minimum-cost perfect matching of that graph is the standard exact
+reduction of boundary matching.  It is found as a maximum-weight
+maximum-cardinality matching with weights ``10_000 - cost`` by the in-repo
+blossom algorithm (:mod:`repro.qec.blossom`), which breaks ties exactly as
+``networkx.max_weight_matching`` does, so the pairs, and with them every
+correction, are the same as networkx would give.
+
+Spatial distances and correction paths depend only on the code, so the
+decoder computes the distance tables once and memoises each path's faults
+the first time a matching uses it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import DecodingError
+from repro.qec.blossom import max_weight_matching
 from repro.qec.codes.base import BOUNDARY, CSSCode
 from repro.qec.syndrome import DetectionEvent, SyndromeHistory
 
@@ -53,30 +64,22 @@ class MWPMDecoder:
         self._graph = code.matching_graph(error_type)
         self._spatial = self._graph.copy()
         self._spatial.remove_node(BOUNDARY)
-        # All-pairs spatial distances among checks, and each check's distance
-        # to the boundary, precomputed once per code.
-        self._dist = dict(nx.all_pairs_shortest_path_length(self._spatial))
-        boundary_lengths = nx.single_source_shortest_path_length(
+        # Spatial distance between every pair of checks, and from each check
+        # to the boundary; ``inf`` where no path exists.
+        num_checks = self._spatial.number_of_nodes()
+        self._dist = [[math.inf] * num_checks for _ in range(num_checks)]
+        for c1, lengths in nx.all_pairs_shortest_path_length(self._spatial):
+            for c2, length in lengths.items():
+                self._dist[c1][c2] = length
+        self._boundary_dist = [math.inf] * num_checks
+        for node, length in nx.single_source_shortest_path_length(
             self._graph, BOUNDARY
-        )
-        self._boundary_dist = {
-            node: length
-            for node, length in boundary_lengths.items()
-            if node != BOUNDARY
-        }
-
-    # -- distances ---------------------------------------------------------------
-
-    def _event_distance(self, a: DetectionEvent, b: DetectionEvent) -> float:
-        (t1, c1), (t2, c2) = a, b
-        spatial = self._dist.get(c1, {}).get(c2)
-        if spatial is None:
-            return float("inf")
-        return spatial + self.time_weight * abs(t1 - t2)
-
-    def _boundary_distance(self, event: DetectionEvent) -> float:
-        dist = self._boundary_dist.get(event[1])
-        return float("inf") if dist is None else float(dist)
+        ).items():
+            if node != BOUNDARY:
+                self._boundary_dist[node] = float(length)
+        # Correction paths, memoised: (c1, c2) or c1 -> (faults, cost).
+        self._pair_paths: dict[tuple[int, int], tuple[tuple[int, ...], float]] = {}
+        self._boundary_paths: dict[int, tuple[tuple[int, ...], float]] = {}
 
     # -- decoding -------------------------------------------------------------------
 
@@ -108,26 +111,34 @@ class MWPMDecoder:
     def _match(
         self, events: list[DetectionEvent]
     ) -> list[tuple[DetectionEvent, DetectionEvent | None]]:
+        num_checks = len(self._boundary_dist)
+        for _, check in events:
+            if not 0 <= check < num_checks:
+                raise DecodingError(
+                    f"{self.code.name}: detection event on check {check} "
+                    "outside the matching graph"
+                )
         k = len(events)
-        graph = nx.Graph()
-        # Event nodes 0..k-1; boundary twins k..2k-1.
+        dist = self._dist
+        time_weight = self.time_weight
+        # Event nodes 0..k-1; boundary twins k..2k-1.  The edge order fixes
+        # the blossom algorithm's scan order, hence its tie-breaks.
         big = 10_000.0
+        edges: list[tuple[int, int, float]] = []
         for i in range(k):
+            t1, c1 = events[i]
+            row = dist[c1]
             for j in range(i + 1, k):
-                dist = self._event_distance(events[i], events[j])
-                if np.isfinite(dist):
-                    graph.add_edge(i, j, weight=big - dist)
-                dist_b = 0.0  # twin-twin edges are free
-                graph.add_edge(k + i, k + j, weight=big - dist_b)
-            bdist = self._boundary_distance(events[i])
-            if np.isfinite(bdist):
-                graph.add_edge(i, k + i, weight=big - bdist)
-        matching = nx.max_weight_matching(graph, maxcardinality=True)
-        matched: dict[int, int] = {}
-        for a, b in matching:
-            matched[a] = b
-            matched[b] = a
-        if any(i not in matched for i in range(k)):
+                t2, c2 = events[j]
+                d = row[c2] + time_weight * abs(t1 - t2)
+                if math.isfinite(d):
+                    edges.append((i, j, big - d))
+                edges.append((k + i, k + j, big - 0.0))  # twin-twin edges are free
+            bdist = self._boundary_dist[c1]
+            if math.isfinite(bdist):
+                edges.append((i, k + i, big - bdist))
+        mate = max_weight_matching(2 * k, edges)
+        if any(mate[i] is None for i in range(k)):
             raise DecodingError(
                 f"{self.code.name}: matching left a detection event unpaired"
             )
@@ -136,7 +147,7 @@ class MWPMDecoder:
         for i in range(k):
             if i in seen:
                 continue
-            j = matched[i]
+            j = mate[i]
             seen.add(i)
             if j < k:
                 seen.add(j)
@@ -147,18 +158,24 @@ class MWPMDecoder:
 
     # -- correction paths ---------------------------------------------------------
 
-    def _path_between(self, c1: int, c2: int) -> tuple[list[int], float]:
+    def _path_between(self, c1: int, c2: int) -> tuple[tuple[int, ...], float]:
         if c1 == c2:
-            return [], 0.0
-        path = nx.shortest_path(self._spatial, c1, c2)
-        return self._faults_on(path), float(len(path) - 1)
+            return (), 0.0
+        cached = self._pair_paths.get((c1, c2))
+        if cached is None:
+            path = nx.shortest_path(self._spatial, c1, c2)
+            cached = self._pair_paths[c1, c2] = self._faults_and_length(path)
+        return cached
 
-    def _path_to_boundary(self, check: int) -> tuple[list[int], float]:
-        path = nx.shortest_path(self._graph, check, BOUNDARY)
-        return self._faults_on(path), float(len(path) - 1)
+    def _path_to_boundary(self, check: int) -> tuple[tuple[int, ...], float]:
+        cached = self._boundary_paths.get(check)
+        if cached is None:
+            path = nx.shortest_path(self._graph, check, BOUNDARY)
+            cached = self._boundary_paths[check] = self._faults_and_length(path)
+        return cached
 
-    def _faults_on(self, path: list) -> list[int]:
-        faults = []
-        for a, b in zip(path, path[1:]):
-            faults.append(self._graph.edges[a, b]["fault"])
-        return faults
+    def _faults_and_length(self, path: list) -> tuple[tuple[int, ...], float]:
+        faults = tuple(
+            self._graph.edges[a, b]["fault"] for a, b in zip(path, path[1:])
+        )
+        return faults, float(len(path) - 1)
