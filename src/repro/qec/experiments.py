@@ -22,17 +22,16 @@ backend, which buys
   invocation (same code, decoder, rates, seed) is a content-addressed cache
   hit, persisted across processes when the service has a disk tier;
 * **batching** — ``threshold_sweep`` submits every rate of a distance as
-  asynchronous jobs that fan out across the service's worker pool (real
-  parallelism under ``executor="process"``);
+  asynchronous jobs that fan out across the service's worker pool;
 * **observability** — decoder benchmarking now shows up in
   ``service.stats()`` next to circuit simulation counters.
 
 Both the backend and the inline fallback run the same shot loop, with
 per-shot randomness from :func:`repro.qec.syndrome.memory_shot_rng`, so
-routed results are bit-identical to inline ones.  Decoders the service
-cannot reconstruct in a worker process (anything other than the stock
-MWPM/union-find/lookup decoders bound to the experiment's code and error
-type) transparently fall back to the inline loop.
+routed results are bit-identical to inline ones.  Decoders a spec cannot
+describe (anything other than the stock MWPM/union-find/lookup decoders
+bound to the experiment's code and error type) transparently fall back to
+the inline loop.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class MemoryExperimentSpec:
     """Everything that determines a memory experiment's failure statistics.
 
     The spec (not any live decoder object) is what travels through the
-    execution subsystem, so it must be picklable for the process-pool
-    executor and content-hashable for the result cache.
+    execution subsystem, so it must be content-hashable for the result
+    cache.
     """
 
     code: CSSCode
@@ -193,8 +192,7 @@ class MemoryExperimentCircuit(QuantumCircuit):
     representable 32-bit rotation angles), which is all the content-addressed
     result cache hashes — two experiments collide exactly when their specs
     match.  The live :class:`MemoryExperimentSpec` rides along for the
-    ``qec_memory`` backend (and pickles with the circuit for process-pool
-    workers).
+    ``qec_memory`` backend.
     """
 
     def __init__(self, spec: MemoryExperimentSpec) -> None:

@@ -1,12 +1,13 @@
 """``repro.quantum.batchsim`` — the vectorised batch statevector engine.
 
-A numpy batch-axis simulator behind ``ExecutionService(executor="batch")``:
-compatible cache-miss work units (same compacted gate structure and qubit
-count; per-unit seed/shots/parameters distinct) evolve together as a
-``(batch, 2**n)`` state with one stacked matmul per gate.  Shot-batched
-noisy trajectories are the simulator's own path, which every executor
-reaches; ``shots`` groups call it per unit.  Results are bit-identical to
-the serial engine per ``(seed, circuit, shots, noise)``.
+A numpy batch-axis simulator on the
+:class:`~repro.quantum.execution.service.ExecutionService`'s one cache-miss
+path: every miss is planned, and two or more ideal misses sharing a
+compacted gate structure (per-unit seed/shots/parameters distinct) evolve
+together as a ``(batch, 2**n)`` state with one stacked matmul per gate.
+Every other miss runs serially on ``Backend.execute_circuit``, where noisy
+trajectories are shot-batched by the simulator itself.  Results are
+bit-identical to the serial engine per ``(seed, circuit, shots, noise)``.
 
 The cooperating pieces:
 
@@ -14,17 +15,16 @@ The cooperating pieces:
   container over the one gate kernel,
   :func:`repro.quantum.statevector.apply_matrix`;
 * :mod:`~repro.quantum.batchsim.planner` — groups miss units by compacted
-  gate structure and classifies them ``ideal`` / ``shots`` / ``serial``;
+  gate structure and classifies them ``ideal`` / ``serial``;
 * :mod:`~repro.quantum.batchsim.engine` — executes ideal groups (shared
-  evolution, per-unit sampling, tiled under a memory cap) and hands
-  ``shots`` units to the simulator's trajectory runner;
+  evolution, per-unit sampling, tiled under a memory cap);
 * :mod:`~repro.quantum.batchsim.dispatcher` — the service-facing entry that
-  runs one group against a backend's noise model.
+  runs one group against a backend.
 
-The :class:`~repro.quantum.execution.service.ExecutionService` drives all of
-this transparently: submissions, caching, single-flight dedup and counters
-are unchanged, and ``simulations_batched`` / ``batch_groups`` in
-``service.stats()`` report how much work took the vectorised path.
+The service drives all of this transparently: submissions, caching,
+single-flight dedup and counters are unchanged, and ``simulations_batched``
+/ ``batch_groups`` in ``service.stats()`` report how much work took the
+vectorised path.
 """
 
 from repro.quantum.batchsim.dispatcher import dispatch
@@ -32,11 +32,9 @@ from repro.quantum.batchsim.engine import MAX_BATCH_AMPLITUDES, execute_group
 from repro.quantum.batchsim.planner import (
     IDEAL,
     SERIAL,
-    SHOTS,
     PlannedGroup,
     PlannedUnit,
     batchable_backend,
-    make_unit,
     plan,
     structure_fingerprint,
 )
@@ -49,12 +47,10 @@ __all__ = [
     "PlannedGroup",
     "PlannedUnit",
     "SERIAL",
-    "SHOTS",
     "batch_apply_matrix",
     "batchable_backend",
     "dispatch",
     "execute_group",
-    "make_unit",
     "plan",
     "structure_fingerprint",
 ]

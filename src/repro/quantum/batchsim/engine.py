@@ -1,18 +1,15 @@
-"""Execute planned groups on the batch axis, bit-identical to serial.
+"""Execute planned ideal groups on the batch axis, bit-identical to serial.
 
-Two vectorised paths:
+Units sharing one gate structure evolve together: one |0...0> row per
+*distinct* circuit (units differing only in seed share a row outright), every
+gate applied across the whole batch with one stacked matmul,
+parameter-divergent positions gathered into per-parameter sub-batches.
+Sampling then runs per unit with its own generator, so counts are
+bit-identical to ``Backend.execute_circuit`` per ``(seed, circuit)``.
+Noisy units never come here: the simulator shot-batches their trajectories
+on its own serial path.
 
-* **ideal groups** — units sharing one gate structure evolve together: one
-  |0...0> row per *distinct* circuit (units differing only in seed share a
-  row outright), every gate applied across the whole batch with one stacked
-  matmul, parameter-divergent positions gathered into per-parameter
-  sub-batches.  Sampling then runs per unit with its own generator, so counts
-  are bit-identical to ``Backend.execute_circuit`` per ``(seed, circuit)``.
-* **shot-batched trajectories** — each noisy unit runs the simulator's own
-  shot-batched runner, :func:`~repro.quantum.simulator.run_trajectories`,
-  with the unit's generator: the batch axis runs across its shots.
-
-Ideal groups stay bounded by tiling the batch axis so no tile holds more
+Groups stay bounded by tiling the batch axis so no tile holds more
 than :data:`MAX_BATCH_AMPLITUDES` amplitudes; rows are independent, so
 tiling cannot affect results.
 """
@@ -22,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.quantum.batchsim.planner import IDEAL, SHOTS, PlannedGroup, PlannedUnit
+from repro.quantum.batchsim.planner import IDEAL, PlannedGroup, PlannedUnit
 from repro.quantum.batchsim.state import BatchStatevector
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.simulator import run_trajectories, sample_from_state, tally_counts
+from repro.quantum.simulator import sample_from_state, tally_counts
 from repro.quantum.statevector import Statevector
 
 #: Cap on amplitudes held by one batch tile; 2**21 complex128 = 32 MiB.
@@ -43,19 +40,13 @@ def _tiles(count: int, num_qubits: int):
 def execute_group(
     noise: NoiseModel | None, group: PlannedGroup, memory: bool
 ) -> list[tuple[dict[str, int], list[str] | None]]:
-    """Run one batchable group; results align with ``group.units`` order."""
+    """Run one ideal group; results align with ``group.units`` order.
+
+    ``noise`` is the backend's model, trivial for every ideal group; it stays
+    the first argument so span hooks find the group second.
+    """
     if group.kind == IDEAL:
         return _execute_ideal(group.units, memory)
-    if group.kind == SHOTS:
-        return [
-            tally_counts(
-                run_trajectories(
-                    unit.compacted, unit.shots, np.random.default_rng(unit.seed), noise
-                ),
-                memory,
-            )
-            for unit in group.units
-        ]
     raise SimulationError(
         f"group kind {group.kind!r} is not executable by the batch engine"
     )

@@ -958,11 +958,12 @@ class DispatchClient:
             if code == 429:
                 self._record_throttle(retry_after)
                 return None
-            self.errors += 1
-            return None
         except (urllib.error.URLError, OSError, TimeoutError, ValueError):
+            pass
+        # One client serves every worker slot and heartbeat thread.
+        with self._lock:
             self.errors += 1
-            return None
+        return None
 
     def _record_throttle(self, retry_after: float | None) -> None:
         delay = (

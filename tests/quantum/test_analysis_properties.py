@@ -3,10 +3,10 @@
 The analyzer's contract is *agreement*: a circuit it calls clean executes; a
 circuit it flags with a ``QA1xx`` error makes the engines raise; its facts
 are deterministic; and turning the pre-flight on (``validate="strict"``)
-never changes the results of clean circuits on any executor strategy.  The
-planner-routing property is the regression guard for the facts dedupe: the
-batch planner's classification must be exactly predictable from each unit's
-:class:`CircuitFacts`.
+never changes the results of clean circuits.  The planner-routing property
+is the regression guard for the facts dedupe: the batch planner's
+classification must be exactly predictable from each unit's
+:class:`CircuitFacts` and which structures the batch shares.
 """
 
 import numpy as np
@@ -192,16 +192,15 @@ class TestDeterminism:
 
 
 class TestStrictIsInert:
-    @pytest.mark.parametrize("executor", ["thread", "process", "batch"])
-    def test_strict_vs_off_bit_identical(self, executor):
+    def test_strict_vs_off_bit_identical(self):
         rng = np.random.default_rng(401)
         base = random_circuit(rng, 3, 5)
         workload = [base] + [
             mutate(random_circuit(rng, 2, int(rng.integers(2, 6))), rng)
             for _ in range(4)
         ]
-        strict = ExecutionService(validate="strict", executor=executor)
-        off = ExecutionService(validate="off", executor=executor)
+        strict = ExecutionService(validate="strict")
+        off = ExecutionService(validate="off")
         try:
             got = strict.run(
                 workload, backend=noisy_backend(), shots=64, seed=401,
@@ -224,16 +223,31 @@ class TestStrictIsInert:
 class TestPlannerRoutingMatchesFacts:
     """Regression for the facts dedupe: routing is a pure function of facts."""
 
-    def predicted_kind(self, facts, noise) -> str:
-        if max(1, len(facts.touched_qubits)) > MAX_DENSE_QUBITS:
-            return batchsim.SERIAL
-        if facts.structurally_defective:
-            return batchsim.SERIAL
-        if facts.is_fast_path(noise):
-            return batchsim.IDEAL
-        if facts.trajectory_eligible:
-            return batchsim.SHOTS
-        return batchsim.SERIAL
+    def batchable(self, facts, noise) -> bool:
+        return (
+            max(1, len(facts.touched_qubits)) <= MAX_DENSE_QUBITS
+            and not facts.structurally_defective
+            and facts.is_fast_path(noise)
+        )
+
+    def predicted_kinds(self, units, noise) -> dict[int, str]:
+        """IDEAL for a batchable unit whose structure another batchable
+        unit shares; SERIAL otherwise."""
+        structures = {
+            unit.index: batchsim.structure_fingerprint(unit.compacted)
+            for unit in units
+            if self.batchable(unit.facts, noise)
+        }
+        shared = list(structures.values())
+        return {
+            unit.index: (
+                batchsim.IDEAL
+                if unit.index in structures
+                and shared.count(structures[unit.index]) >= 2
+                else batchsim.SERIAL
+            )
+            for unit in units
+        }
 
     def assigned_kinds(self, backend, units) -> dict[int, str]:
         groups = batchsim.plan(backend, units)
@@ -257,10 +271,11 @@ class TestPlannerRoutingMatchesFacts:
             )
             if rng.random() < 0.2:
                 qc, _ = break_circuit(qc, rng)
-            units.append(batchsim.make_unit(index, qc, None, seed + index, 32))
+            units.append(batchsim.PlannedUnit(index, qc, None, seed + index, 32))
         assigned = self.assigned_kinds(backend, units)
+        predicted = self.predicted_kinds(units, backend.noise_model)
         for unit in units:
-            want = self.predicted_kind(unit.facts, backend.noise_model)
+            want = predicted[unit.index]
             assert assigned[unit.index] == want, (
                 f"unit {unit.index}: planner chose {assigned[unit.index]}, "
                 f"facts predict {want}"
@@ -277,8 +292,8 @@ class TestPlannerRoutingMatchesFacts:
         )
         backend = Backend(name="wide", num_qubits=MAX_DENSE_QUBITS + 2)
         units = [
-            batchsim.make_unit(0, wide, None, 1, 8),
-            batchsim.make_unit(1, broken, None, 2, 8),
+            batchsim.PlannedUnit(0, wide, None, 1, 8),
+            batchsim.PlannedUnit(1, broken, None, 2, 8),
         ]
         assigned = self.assigned_kinds(backend, units)
         assert assigned == {0: batchsim.SERIAL, 1: batchsim.SERIAL}
@@ -287,28 +302,27 @@ class TestPlannerRoutingMatchesFacts:
         rng = np.random.default_rng(601)
         for _ in range(10):
             qc = mutate(random_circuit(rng, 3, 5), rng)
-            unit = batchsim.make_unit(0, qc, None, 1, 16)
+            unit = batchsim.PlannedUnit(0, qc, None, 1, 16)
             assert unit.facts == circuit_facts(qc)
 
 
 class TestDefectiveBatchParity:
-    def test_batch_and_thread_raise_the_same_error(self):
+    def test_service_and_serial_engine_raise_the_same_error(self):
         """A defective unit in a batch workload fails with the serial
-        engine's canonical message on every executor strategy."""
+        engine's canonical message."""
         rng = np.random.default_rng(701)
         broken, code = break_circuit(random_circuit(rng, 2, 4), rng)
-        messages = {}
-        for executor in ("thread", "batch"):
-            svc = ExecutionService(executor=executor)
-            try:
-                with pytest.raises(SimulationError) as excinfo:
-                    svc.run(
-                        [random_circuit(rng, 2, 3), broken],
-                        shots=16,
-                        seed=701,
-                    ).result()
-                messages[executor] = str(excinfo.value)
-            finally:
-                svc.shutdown()
-        assert messages["thread"] == messages["batch"]
-        assert f"[{code}]" in messages["thread"]
+        svc = ExecutionService()
+        try:
+            with pytest.raises(SimulationError) as excinfo:
+                svc.run(
+                    [random_circuit(rng, 2, 3), broken], shots=16, seed=701
+                ).result()
+        finally:
+            svc.shutdown()
+        with pytest.raises(SimulationError) as serial:
+            LocalSimulator().execute_circuit(
+                broken, 16, ExecutionService._effective_seed(701, 1)
+            )
+        assert str(excinfo.value) == str(serial.value)
+        assert f"[{code}]" in str(serial.value)

@@ -1,12 +1,12 @@
 """Property tests for the vectorised batch engine: batch == serial, always.
 
 The contract under test is *bit-identity*: for every ``(seed, circuit, shots,
-noise)`` and every grouping the planner may choose, ``executor="batch"``
-produces exactly the counts (and memory) the serial engine produces.  The
-fuzz tests therefore compare whole randomised workloads across a batch
-service and a thread service seeded identically, on both execution paths
-(ideal fast path and shot-batched trajectories), including mixed-structure
-batches that must split into several groups.
+noise)`` and every grouping the planner may choose, the service produces
+exactly the counts (and memory) the serial engine produces.  The fuzz tests
+therefore compare whole randomised workloads run through the service with
+per-circuit ``Backend.execute_circuit`` calls at the same derived seeds, on
+ideal and noisy backends, including mixed-structure batches that must split
+into batched groups and serial units.
 """
 
 import threading
@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.quantum import batchsim
-from repro.quantum.backend import Backend, LocalSimulator
+from repro.quantum.backend import Backend, LocalSimulator, Result
 from repro.quantum.batchsim import engine as batch_engine
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import ExecutionService
@@ -79,21 +79,30 @@ def noisy_backend(p: float = 0.02, readout: float = 0.01) -> Backend:
     )
 
 
+def serial_reference(backend, circuits, shots, seed, memory=False):
+    """Per-circuit ``execute_circuit`` at the service's derived seeds."""
+    pairs = [
+        backend.execute_circuit(
+            qc, shots, ExecutionService._effective_seed(seed, i), memory
+        )
+        for i, qc in enumerate(circuits)
+    ]
+    return Result(
+        [counts for counts, _ in pairs], [mem for _, mem in pairs],
+        backend.name, shots, seed,
+    )
+
+
 def run_pair(backend, circuits, shots, seed, memory=False, use_cache=True):
-    """Run one workload on a batch service and a thread service; return both."""
-    batch_svc = ExecutionService(executor="batch", use_cache=use_cache)
-    serial_svc = ExecutionService(executor="thread", use_cache=use_cache)
+    """Run one workload on the service and on the serial reference."""
+    svc = ExecutionService(use_cache=use_cache)
     try:
-        got = batch_svc.run(
+        got = svc.run(
             circuits, backend=backend, shots=shots, seed=seed, memory=memory
         ).result()
-        want = serial_svc.run(
-            circuits, backend=backend, shots=shots, seed=seed, memory=memory
-        ).result()
-        return got, want, batch_svc
     finally:
-        batch_svc.shutdown()
-        serial_svc.shutdown()
+        svc.shutdown()
+    return got, serial_reference(backend, circuits, shots, seed, memory), svc
 
 
 def assert_results_identical(got, want, n, memory=False):
@@ -158,7 +167,7 @@ class TestBatchKernel:
 class TestPlanner:
     def _units(self, circuits, shots=64, seed=5):
         return [
-            batchsim.make_unit(i, qc, object(), seed + i, shots)
+            batchsim.PlannedUnit(i, qc, object(), seed + i, shots)
             for i, qc in enumerate(circuits)
         ]
 
@@ -179,7 +188,7 @@ class TestPlanner:
             LocalSimulator(), self._units([a, reparameterize(a, rng), b])
         )
         assert [len(g.units) for g in groups] == [2, 1]
-        assert all(g.kind == batchsim.IDEAL for g in groups)
+        assert [g.kind for g in groups] == [batchsim.IDEAL, batchsim.SERIAL]
 
     def test_conditional_circuit_falls_back_to_serial(self):
         qc = QuantumCircuit(2, 2)
@@ -190,11 +199,11 @@ class TestPlanner:
         groups = batchsim.plan(noisy_backend(), self._units([qc]))
         assert [g.kind for g in groups] == [batchsim.SERIAL]
 
-    def test_noisy_unit_becomes_singleton_shots_group(self):
+    def test_noisy_units_plan_serial(self):
         rng = np.random.default_rng(2)
         circuits = [random_circuit(rng, 2, 4) for _ in range(3)]
         groups = batchsim.plan(noisy_backend(), self._units(circuits))
-        assert [g.kind for g in groups] == [batchsim.SHOTS] * 3
+        assert [g.kind for g in groups] == [batchsim.SERIAL] * 3
         assert all(len(g.units) == 1 for g in groups)
 
     def test_overridden_backend_is_never_batched(self):
@@ -223,6 +232,13 @@ class TestPlanner:
         cond.measure(1, 1)
         groups = batchsim.plan(
             LocalSimulator(), self._units([cond, ideal])
+        )
+        # A structure no other miss shares runs serially, in submission order.
+        assert [g.kind for g in groups] == [batchsim.SERIAL] * 2
+        assert [g.units[0].index for g in groups] == [0, 1]
+        groups = batchsim.plan(
+            LocalSimulator(),
+            self._units([cond, ideal, reparameterize(ideal, rng)]),
         )
         assert [g.kind for g in groups] == [batchsim.IDEAL, batchsim.SERIAL]
         assert batchsim.plan(LocalSimulator(), []) == []
@@ -262,7 +278,7 @@ class TestEngineBitIdentity:
         base = random_circuit(rng, 3, 8)
         circuits = [base] + [reparameterize(base, rng) for _ in range(5)]
         units = [
-            batchsim.make_unit(i, qc, None, 100 + i, 257)
+            batchsim.PlannedUnit(i, qc, None, 100 + i, 257)
             for i, qc in enumerate(circuits)
         ]
         group = batchsim.plan(backend, units)[0]
@@ -283,8 +299,8 @@ class TestEngineBitIdentity:
         qc.cx(0, 1)
         qc.measure_all()
         units = [
-            batchsim.make_unit(0, qc, None, 1, 400),
-            batchsim.make_unit(1, qc, None, 2, 400),
+            batchsim.PlannedUnit(0, qc, None, 1, 400),
+            batchsim.PlannedUnit(1, qc, None, 2, 400),
         ]
         group = batchsim.plan(backend, units)[0]
         got = batchsim.dispatch(backend, group, False)
@@ -293,44 +309,18 @@ class TestEngineBitIdentity:
             assert counts == want
         assert got[0][0] != got[1][0] or True  # distinct streams, same dist
 
-    def test_trajectory_unit_matches_serial(self):
-        rng = np.random.default_rng(12)
-        backend = noisy_backend()
-        for trial in range(6):
-            qc = random_circuit(rng, 2, 5, measure="mid" if trial % 2 else "all")
-            unit = batchsim.make_unit(0, qc, None, 900 + trial, 128)
-            groups = batchsim.plan(backend, [unit])
-            assert groups[0].kind == batchsim.SHOTS
-            (counts, mem), = batchsim.dispatch(backend, groups[0], True)
-            want_counts, want_mem = backend.execute_circuit(qc, 128, unit.seed, True)
-            assert counts == want_counts
-            assert mem == want_mem
-
-    def test_reset_matches_serial_under_noise(self):
-        backend = noisy_backend(p=0.05, readout=0.03)
-        qc = QuantumCircuit(2, 2)
-        qc.h(0)
-        qc.cx(0, 1)
-        qc.reset(0)
-        qc.h(1)
-        qc.measure_all()
-        unit = batchsim.make_unit(0, qc, None, 77, 300)
-        group = batchsim.plan(backend, [unit])[0]
-        (counts, mem), = batchsim.dispatch(backend, group, True)
-        want_counts, want_mem = backend.execute_circuit(qc, 300, 77, True)
-        assert counts == want_counts and mem == want_mem
-
-    def test_barriers_are_skipped_on_both_paths(self):
+    def test_barriers_are_skipped_by_the_batch_engine(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0)
         qc.barrier()
         qc.cx(0, 1)
         qc.measure_all()
-        for backend in (LocalSimulator(), noisy_backend()):
-            unit = batchsim.make_unit(0, qc, None, 9, 120)
-            group = batchsim.plan(backend, [unit])[0]
-            (counts, _), = batchsim.dispatch(backend, group, False)
-            want, _ = backend.execute_circuit(qc, 120, 9, False)
+        backend = LocalSimulator()
+        units = [batchsim.PlannedUnit(i, qc, None, 9 + i, 120) for i in range(2)]
+        group = batchsim.plan(backend, units)[0]
+        assert group.kind == batchsim.IDEAL
+        for unit, (counts, _) in zip(units, batchsim.dispatch(backend, group, False)):
+            want, _ = backend.execute_circuit(qc, 120, unit.seed, False)
             assert counts == want
 
     def test_non_unitary_instruction_in_evolve_raises_serial_error(self):
@@ -346,7 +336,7 @@ class TestEngineBitIdentity:
     def test_serial_group_is_not_executable_by_the_engine(self):
         qc = QuantumCircuit(1, 1)
         qc.measure_all()
-        unit = batchsim.make_unit(0, qc, None, 1, 10)
+        unit = batchsim.PlannedUnit(0, qc, None, 1, 10)
         with pytest.raises(SimulationError, match="not executable"):
             batchsim.execute_group(
                 None, batchsim.PlannedGroup(batchsim.SERIAL, [unit]), False
@@ -354,24 +344,19 @@ class TestEngineBitIdentity:
 
     def test_tiling_cannot_affect_results(self, monkeypatch):
         rng = np.random.default_rng(13)
-        backend = noisy_backend()
         base = random_circuit(rng, 3, 6)
         want_ideal = batchsim.dispatch(
             LocalSimulator(),
             batchsim.plan(
                 LocalSimulator(),
                 [
-                    batchsim.make_unit(i, reparameterize(base, rng), None, i, 64)
+                    batchsim.PlannedUnit(i, reparameterize(base, rng), None, i, 64)
                     for i in range(5)
                 ],
             )[0],
             False,
         )
-        noisy_unit = batchsim.make_unit(0, base, None, 3, 96)
-        want_noisy = batchsim.dispatch(
-            backend, batchsim.plan(backend, [noisy_unit])[0], False
-        )
-        # Force one-row/one-shot tiles: results must not move.
+        # Force one-row tiles: results must not move.
         monkeypatch.setattr(batch_engine, "MAX_BATCH_AMPLITUDES", 1)
         rng = np.random.default_rng(13)
         base = random_circuit(rng, 3, 6)
@@ -380,18 +365,13 @@ class TestEngineBitIdentity:
             batchsim.plan(
                 LocalSimulator(),
                 [
-                    batchsim.make_unit(i, reparameterize(base, rng), None, i, 64)
+                    batchsim.PlannedUnit(i, reparameterize(base, rng), None, i, 64)
                     for i in range(5)
                 ],
             )[0],
             False,
         )
-        noisy_unit = batchsim.make_unit(0, base, None, 3, 96)
-        got_noisy = batchsim.dispatch(
-            backend, batchsim.plan(backend, [noisy_unit])[0], False
-        )
         assert got_ideal == want_ideal
-        assert got_noisy == want_noisy
 
 
 # ---------------------------------------------------------------------------
@@ -518,33 +498,54 @@ class TestServiceFuzz:
         got, want, svc = run_pair(LocalSimulator(), workload, 128, 41)
         assert_results_identical(got, want, len(workload))
         stats = svc.stats()
-        # The conditional unit simulated serially; the rest batched.
-        assert stats["simulations_batched"] == 2
+        # No two units share a structure, so every unit simulated serially.
+        assert stats["simulations_batched"] == 0
         assert stats["simulations"] == 3
 
-    def test_submit_path_matches_run_path(self):
+    @pytest.mark.parametrize("mixed", [False, True], ids=["sweep", "mixed"])
+    def test_submit_path_matches_run_path(self, mixed):
         rng = np.random.default_rng(51)
         base = random_circuit(rng, 3, 6)
-        workload = [reparameterize(base, rng) for _ in range(6)]
-        svc_submit = ExecutionService(executor="batch")
-        svc_run = ExecutionService(executor="batch")
-        try:
-            got = svc_submit.submit(
-                workload, backend="local_simulator", shots=150, seed=51
-            ).result(timeout=60)
-            want = svc_run.run(
-                workload, backend="local_simulator", shots=150, seed=51
-            ).result()
-            assert_results_identical(got, want, len(workload))
-        finally:
-            svc_submit.shutdown()
-            svc_run.shutdown()
+        if mixed:
+            # 3 same-structure points, 1 other structure, 1 conditional.
+            cond = QuantumCircuit(2, 2)
+            cond.h(0)
+            cond.measure(0, 0)
+            cond.append("x", [1], condition=(0, 1))
+            cond.measure(1, 1)
+            workload = [
+                reparameterize(base, rng),
+                random_circuit(rng, 3, 4),
+                reparameterize(base, rng),
+                cond,
+                reparameterize(base, rng),
+            ]
+            batched, simulations = 3, 5
+        else:
+            workload = [reparameterize(base, rng) for _ in range(6)]
+            batched, simulations = 6, 6
+        want = serial_reference(LocalSimulator(), workload, 150, 51)
+        for path in ("submit", "run"):
+            svc = ExecutionService()
+            try:
+                job = getattr(svc, path)(
+                    workload, backend="local_simulator", shots=150, seed=51
+                )
+                assert_results_identical(
+                    job.result(timeout=60), want, len(workload)
+                )
+                stats = svc.stats()
+                assert stats["simulations_batched"] == batched, path
+                assert stats["batch_groups"] == 1, path
+                assert stats["simulations"] == simulations, path
+            finally:
+                svc.shutdown()
 
     def test_uncacheable_seedless_batch_still_works(self):
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure_all()
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             result = svc.run([qc, qc], shots=50).result()
             assert sum(result.get_counts(0).values()) == 50
@@ -562,13 +563,15 @@ class TestCacheComposition:
     def test_warm_rerun_simulates_nothing(self):
         rng = np.random.default_rng(61)
         workload = [random_circuit(rng, 2, 4) for _ in range(4)]
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             first = svc.run(workload, shots=80, seed=61).result()
             warm = svc.run(workload, shots=80, seed=61).result()
             assert_results_identical(warm, first, len(workload))
             stats = svc.stats()
-            assert stats["simulations"] == stats["simulations_batched"] == 4
+            # Four distinct structures: every miss ran serially.
+            assert stats["simulations"] == 4
+            assert stats["simulations_batched"] == 0
             assert stats["cache_hits"] == 4
             assert stats["cache_misses"] == (
                 stats["simulations"] + stats["simulations_deduped"]
@@ -581,7 +584,7 @@ class TestCacheComposition:
         qc.h(0)
         qc.cx(0, 1)
         qc.measure_all()
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             # Index 0 and the rest derive different seeds, so only exact
             # duplicates (same derived seed) could collide; submit two
@@ -607,7 +610,7 @@ class TestCacheComposition:
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure_all()
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             from repro.quantum.execution.cache import (
                 circuit_fingerprint,
@@ -652,6 +655,54 @@ class TestCacheComposition:
         finally:
             svc.shutdown()
 
+    def test_contested_unit_in_a_group_defers_to_foreign_leader(self):
+        """A group simulates the units it leads, then waits on the rest."""
+        from repro.quantum.execution.cache import (
+            CacheKey,
+            circuit_fingerprint,
+            noise_fingerprint,
+        )
+
+        qc = QuantumCircuit(1, 1)
+        qc.h(0)
+        qc.measure_all()
+        backend = LocalSimulator()
+        key = CacheKey(
+            circuit=circuit_fingerprint(qc),
+            backend=backend.name,
+            shots=64,
+            seed=7,
+            noise=noise_fingerprint(backend.noise_model),
+            memory=False,
+        )
+        svc = ExecutionService()
+        try:
+            assert svc._try_lead(key)  # unit 0's key; unit 1's stays free
+            out = {}
+            thread = threading.Thread(
+                target=lambda: out.update(
+                    result=svc.run([qc, qc], backend=backend, shots=64, seed=7)
+                    .result()
+                )
+            )
+            thread.start()
+            thread.join(0.3)
+            assert thread.is_alive()
+            fake = {"1": 64}
+            svc.cache.put(key, fake, None)
+            svc._release_flight(key)
+            thread.join(10)
+            assert not thread.is_alive()
+            assert out["result"].get_counts(0) == fake
+            want = serial_reference(backend, [qc, qc], 64, 7)
+            assert out["result"].get_counts(1) == want.get_counts(1)
+            stats = svc.stats()
+            assert stats["simulations"] == stats["simulations_batched"] == 1
+            assert stats["batch_groups"] == 1
+            assert stats["simulations_deduped"] == 1
+        finally:
+            svc.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # Counters and attribution
@@ -663,12 +714,11 @@ class TestCounters:
         rng = np.random.default_rng(71)
         base = random_circuit(rng, 3, 5)
         workload = [reparameterize(base, rng) for _ in range(6)]
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             with svc.stats_scope("fuzz") as scope:
                 svc.run(workload, shots=64, seed=71).result()
             stats = svc.stats()
-            assert stats["executor"] == "batch"
             assert stats["simulations_batched"] == 6
             assert stats["batch_groups"] == 1
             attributed = scope.as_dict()
@@ -678,25 +728,26 @@ class TestCounters:
         finally:
             svc.shutdown()
 
-    def test_noisy_units_count_one_group_each(self):
+    def test_noisy_units_run_serially(self):
         rng = np.random.default_rng(81)
         workload = [random_circuit(rng, 2, 4) for _ in range(3)]
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             svc.run(
                 workload, backend=noisy_backend(), shots=32, seed=81
             ).result()
             stats = svc.stats()
-            assert stats["simulations_batched"] == 3
-            assert stats["batch_groups"] == 3  # SHOTS groups are singletons
+            assert stats["simulations"] == 3
+            assert stats["simulations_batched"] == 0
+            assert stats["batch_groups"] == 0
         finally:
             svc.shutdown()
 
-    def test_thread_executor_never_batches(self):
+    def test_single_miss_never_batches(self):
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure_all()
-        svc = ExecutionService(executor="thread")
+        svc = ExecutionService()
         try:
             svc.run(qc, shots=16, seed=1).result()
             stats = svc.stats()

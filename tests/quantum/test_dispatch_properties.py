@@ -15,7 +15,9 @@ determinism rests on —
 
 import random
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -269,6 +271,42 @@ class TestTransportHardening:
         assert client.status() is None
         assert client.errors == 4
         assert "errors=4" in repr(client)
+
+    def test_concurrent_failures_count_exactly(self):
+        """One client serves every worker slot and heartbeat thread, so
+        failures racing on several threads must each count once."""
+        from repro.quantum.execution import DispatchClient
+
+        class SlowInt(int):
+            # Widens the read-modify-write window of ``errors += 1`` so an
+            # unguarded increment reliably loses updates.
+            def __add__(self, other):
+                time.sleep(0.001)
+                return SlowInt(int(self) + other)
+
+        client = DispatchClient(_dead_url(), timeout=0.5)
+        client.errors = SlowInt(0)
+        threads, calls = 8, 10
+        start = threading.Barrier(threads)
+        results = []
+
+        def hammer():
+            start.wait()
+            results.extend(client.lease("w") for _ in range(calls))
+
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [None] * (threads * calls)
+        assert client.errors == threads * calls
 
     def test_work_status_endpoint(self, tmp_path):
         from repro.quantum.execution import DispatchClient, EvalCoordinator

@@ -506,75 +506,6 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------------
-# Executor strategies
-# ---------------------------------------------------------------------------
-
-
-class TestExecutorStrategies:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(BackendError, match="executor"):
-            ExecutionService(executor="goroutines")
-
-    def test_thread_process_result_parity(self):
-        qc = bell_pair(measure=True)
-        threads = ExecutionService(max_workers=2, executor="thread")
-        processes = ExecutionService(max_workers=2, executor="process")
-        try:
-            a = threads.run(qc, backend="noisy", shots=200, seed=9).result()
-            b = processes.run(qc, backend="noisy", shots=200, seed=9).result()
-            assert a.get_counts() == b.get_counts()
-            assert threads.stats()["executor"] == "thread"
-            assert processes.stats()["executor"] == "process"
-        finally:
-            threads.shutdown()
-            processes.shutdown()
-
-    def test_process_batch_parity_with_memory(self):
-        circuits = [_tagged_circuit(tag) for tag in (3, 1, 6)]
-        threads = ExecutionService(max_workers=2, executor="thread")
-        processes = ExecutionService(max_workers=2, executor="process")
-        try:
-            a = threads.submit(
-                circuits, shots=20, seed=4, memory=True
-            ).result(timeout=60)
-            b = processes.submit(
-                circuits, shots=20, seed=4, memory=True
-            ).result(timeout=60)
-            for index in range(len(circuits)):
-                assert a.get_counts(index) == b.get_counts(index)
-                assert a.get_memory(index) == b.get_memory(index)
-        finally:
-            threads.shutdown()
-            processes.shutdown()
-
-    def test_unregistered_backend_falls_back_inline(self):
-        """Backends the child cannot rebuild by name run in-process."""
-        backend = GatedBackend()
-        backend.gate.set()
-        service = ExecutionService(max_workers=2, executor="process")
-        try:
-            job = service.submit(
-                bell_pair(measure=True), backend=backend, shots=25, seed=1
-            )
-            assert sum(job.result(timeout=30).get_counts().values()) == 25
-        finally:
-            service.shutdown()
-
-    def test_process_executor_shares_cache(self):
-        service = ExecutionService(max_workers=2, executor="process")
-        try:
-            qc = bell_pair(measure=True)
-            first = service.run(qc, shots=50, seed=8).result().get_counts()
-            second = service.run(qc, shots=50, seed=8).result().get_counts()
-            assert first == second
-            stats = service.stats()
-            assert stats["simulations"] == 1
-            assert stats["cache_hits"] == 1
-        finally:
-            service.shutdown()
-
-
-# ---------------------------------------------------------------------------
 # Pipeline integration: repeated eval arm re-simulates nothing
 # ---------------------------------------------------------------------------
 

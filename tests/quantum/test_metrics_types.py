@@ -17,7 +17,7 @@ STATS = {
     "cache_evictions": 0,
     "cache_hit_rate": 0.5,
     "cache_entries": 4,
-    "executor": "thread",
+    "validate": "off",
 }
 
 
@@ -40,8 +40,8 @@ def test_service_stat_type_and_name(key, name, kind):
 
 def test_string_stats_stay_info_labels():
     body = serving_metrics(STATS)
-    assert 'repro_service_info{executor="thread"} 1' in body
-    assert "repro_service_executor" not in body
+    assert 'repro_service_info{validate="off"} 1' in body
+    assert "repro_service_validate" not in body
 
 
 def test_every_live_numeric_stat_is_typed(tmp_path):

@@ -2,7 +2,7 @@
 
 The contract under test (ISSUE 9): one parameterized *template* plus N
 bindings must behave exactly like N concretely-built circuits — bit-identical
-instructions and counts on every executor strategy — while costing one
+instructions and counts, batched or serial — while costing one
 structure fingerprint, one transpilation and one batch-planner group.
 """
 
@@ -282,13 +282,9 @@ class TestExecutionRefusal:
 
 
 class TestExecutionParity:
-    @pytest.mark.parametrize("executor", ["thread", "process", "batch"])
-    def test_counts_bit_identical_to_concrete_on_every_executor(
-        self, executor
-    ):
-        kwargs = {"max_workers": 2} if executor == "process" else {}
-        svc_bound = ExecutionService(executor=executor, **kwargs)
-        svc_concrete = ExecutionService(executor=executor, **kwargs)
+    def test_counts_bit_identical_to_concrete(self):
+        svc_bound = ExecutionService()
+        svc_concrete = ExecutionService()
         template = sweep_template()
         points = SWEEP_POINTS[:6]
         bound = [template.bind({"theta": v}) for v in points]
@@ -303,7 +299,7 @@ class TestExecutionParity:
             assert res_bound.get_counts(i) == res_concrete.get_counts(i)
 
     def test_sweep_costs_one_transpile_and_one_batch_group(self):
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         template = sweep_template()
         points = [0.05 * k for k in range(100)]
         with svc.stats_scope() as scope:
@@ -321,7 +317,7 @@ class TestExecutionParity:
         assert counts["simulations_batched"] == len(points)
         # The sweep is bit-identical to 100 concretely-built circuits pushed
         # through the same stages on a fresh service.
-        reference_svc = ExecutionService(executor="batch")
+        reference_svc = ExecutionService()
         reference = reference_svc.run(
             [
                 reference_svc.transpile(

@@ -250,12 +250,11 @@ class TestBitIdentityWithLegacy:
 
 class TestObservationalEquivalence:
     """Transpiled output is observationally equivalent to its input:
-    bit-identical counts under a fixed seed, across optimization levels,
-    on the serial and the batch executor."""
+    bit-identical counts under a fixed seed, across optimization levels."""
 
-    @pytest.fixture(params=["thread", "batch"])
-    def service(self, request):
-        svc = ExecutionService(use_cache=False, executor=request.param)
+    @pytest.fixture
+    def service(self):
+        svc = ExecutionService(use_cache=False)
         yield svc
         svc.shutdown()
 
