@@ -192,29 +192,38 @@ class TestDeterminism:
 
 
 class TestStrictIsInert:
-    def test_strict_vs_off_bit_identical(self):
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "ideal"])
+    def test_strict_vs_off_bit_identical(self, noisy):
         rng = np.random.default_rng(401)
         base = random_circuit(rng, 3, 5)
         workload = [base] + [
             mutate(random_circuit(rng, 2, int(rng.integers(2, 6))), rng)
             for _ in range(4)
         ]
+        if noisy:
+            backend = noisy_backend()
+        else:
+            # Two copies of ``base`` share its structure, so on the ideal
+            # backend the three run as one batched group.
+            backend = LocalSimulator()
+            workload += [base.copy(), base.copy()]
         strict = ExecutionService(validate="strict")
         off = ExecutionService(validate="off")
         try:
             got = strict.run(
-                workload, backend=noisy_backend(), shots=64, seed=401,
-                memory=True,
+                workload, backend=backend, shots=64, seed=401, memory=True,
             ).result()
             want = off.run(
-                workload, backend=noisy_backend(), shots=64, seed=401,
-                memory=True,
+                workload, backend=backend, shots=64, seed=401, memory=True,
             ).result()
             for i in range(len(workload)):
                 assert got.get_counts(i) == want.get_counts(i)
                 assert got.get_memory(i) == want.get_memory(i)
             assert strict.stats()["programs_validated"] == len(workload)
             assert off.stats()["programs_validated"] == 0
+            batched = strict.stats()["simulations_batched"]
+            assert batched == off.stats()["simulations_batched"]
+            assert batched == (0 if noisy else 3)
         finally:
             strict.shutdown()
             off.shutdown()
@@ -323,6 +332,28 @@ class TestDefectiveBatchParity:
         with pytest.raises(SimulationError) as serial:
             LocalSimulator().execute_circuit(
                 broken, 16, ExecutionService._effective_seed(701, 1)
+            )
+        assert str(excinfo.value) == str(serial.value)
+        assert f"[{code}]" in str(serial.value)
+
+    def test_defect_beside_a_batched_group_raises_the_serial_error(self):
+        """Two clean twins batch; the defective unit in the same submission
+        still fails with the serial engine's canonical message."""
+        rng = np.random.default_rng(702)
+        clean = random_circuit(rng, 2, 4)
+        broken, code = break_circuit(clean, rng)
+        svc = ExecutionService()
+        try:
+            with pytest.raises(SimulationError) as excinfo:
+                svc.run(
+                    [clean, clean.copy(), broken], shots=16, seed=702
+                ).result()
+            assert svc.stats()["simulations_batched"] == 2
+        finally:
+            svc.shutdown()
+        with pytest.raises(SimulationError) as serial:
+            LocalSimulator().execute_circuit(
+                broken, 16, ExecutionService._effective_seed(702, 2)
             )
         assert str(excinfo.value) == str(serial.value)
         assert f"[{code}]" in str(serial.value)

@@ -487,6 +487,30 @@ class TestServiceFuzz:
         )
         assert_results_identical(got, want, len(workload), memory=True)
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    def test_reset_units_run_serially_and_match(self, noisy):
+        """A reset is off the fast path: same-structure reset circuits never
+        batch, and each matches the serial engine bit for bit."""
+
+        def reset_circuit(theta):
+            qc = QuantumCircuit(2, 2)
+            qc.h(0)
+            qc.cx(0, 1)
+            qc.reset(0)
+            qc.rx(theta, 1)
+            qc.measure_all()
+            return qc
+
+        backend = (
+            noisy_backend(p=0.05, readout=0.03) if noisy else LocalSimulator()
+        )
+        workload = [reset_circuit(t) for t in (0.3, 1.2, 2.5)]
+        got, want, svc = run_pair(backend, workload, 300, 77, memory=True)
+        assert_results_identical(got, want, len(workload), memory=True)
+        stats = svc.stats()
+        assert stats["simulations_batched"] == 0
+        assert stats["simulations"] == len(workload)
+
     def test_conditional_units_ride_the_serial_fallback(self):
         rng = np.random.default_rng(41)
         cond = QuantumCircuit(2, 2)
@@ -502,11 +526,13 @@ class TestServiceFuzz:
         assert stats["simulations_batched"] == 0
         assert stats["simulations"] == 3
 
-    @pytest.mark.parametrize("mixed", [False, True], ids=["sweep", "mixed"])
-    def test_submit_path_matches_run_path(self, mixed):
+    @pytest.mark.parametrize("case", ["sweep", "mixed", "noisy"])
+    def test_submit_path_matches_run_path(self, case):
         rng = np.random.default_rng(51)
         base = random_circuit(rng, 3, 6)
-        if mixed:
+        backend = LocalSimulator()
+        groups = 1
+        if case == "mixed":
             # 3 same-structure points, 1 other structure, 1 conditional.
             cond = QuantumCircuit(2, 2)
             cond.h(0)
@@ -521,22 +547,27 @@ class TestServiceFuzz:
                 reparameterize(base, rng),
             ]
             batched, simulations = 3, 5
+        elif case == "noisy":
+            # Shared structure, but noisy: every unit is a serial unit.
+            backend = noisy_backend()
+            workload = [reparameterize(base, rng) for _ in range(4)]
+            batched, simulations, groups = 0, 4, 0
         else:
             workload = [reparameterize(base, rng) for _ in range(6)]
             batched, simulations = 6, 6
-        want = serial_reference(LocalSimulator(), workload, 150, 51)
+        want = serial_reference(backend, workload, 150, 51)
         for path in ("submit", "run"):
             svc = ExecutionService()
             try:
                 job = getattr(svc, path)(
-                    workload, backend="local_simulator", shots=150, seed=51
+                    workload, backend=backend, shots=150, seed=51
                 )
                 assert_results_identical(
                     job.result(timeout=60), want, len(workload)
                 )
                 stats = svc.stats()
                 assert stats["simulations_batched"] == batched, path
-                assert stats["batch_groups"] == 1, path
+                assert stats["batch_groups"] == groups, path
                 assert stats["simulations"] == simulations, path
             finally:
                 svc.shutdown()

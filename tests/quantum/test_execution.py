@@ -506,6 +506,82 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------------
+# One cache-miss path: batched groups and serial units
+# ---------------------------------------------------------------------------
+
+
+def _rotation_circuit(theta: float) -> QuantumCircuit:
+    """One structure for every ``theta``: the planner groups these."""
+    qc = QuantumCircuit(2, 2)
+    qc.rx(theta, 0)
+    qc.cx(0, 1)
+    qc.measure([0, 1], [0, 1])
+    return qc
+
+
+class TestOneMissPath:
+    def test_executor_argument_is_gone(self):
+        with pytest.raises(TypeError, match="executor"):
+            ExecutionService(executor="thread")
+
+    def test_batched_group_matches_serial_with_memory(self):
+        circuits = [_rotation_circuit(t) for t in (0.3, 1.1, 2.0)]
+        circuits.append(_tagged_circuit(5))
+        backend = LocalSimulator()
+        service = ExecutionService(max_workers=2)
+        try:
+            got = service.submit(
+                circuits, backend=backend, shots=20, seed=4, memory=True
+            ).result(timeout=60)
+            for index, qc in enumerate(circuits):
+                counts, memory = backend.execute_circuit(
+                    qc, 20, ExecutionService._effective_seed(4, index), True
+                )
+                assert got.get_counts(index) == counts
+                assert got.get_memory(index) == memory
+            stats = service.stats()
+            assert stats["simulations_batched"] == 3
+            assert stats["batch_groups"] == 1
+            assert stats["simulations"] == 4
+        finally:
+            service.shutdown()
+
+    def test_overriding_backend_runs_every_unit_serially(self):
+        """A backend that overrides ``execute_circuit`` keeps its own
+        semantics: same-structure circuits never reach the batch engine."""
+        backend = GatedBackend()
+        backend.gate.set()
+        service = ExecutionService(max_workers=2)
+        try:
+            job = service.submit(
+                [_rotation_circuit(0.4), _rotation_circuit(0.9)],
+                backend=backend,
+                shots=25,
+                seed=1,
+            )
+            result = job.result(timeout=30)
+            assert sum(result.get_counts(0).values()) == 25
+            assert sum(result.get_counts(1).values()) == 25
+            stats = service.stats()
+            assert stats["simulations_batched"] == 0
+            assert stats["simulations"] == 2
+        finally:
+            service.shutdown()
+
+    def test_noisy_run_matches_direct_execute_circuit(self):
+        qc = bell_pair(measure=True)
+        backend = get_backend("noisy")
+        service = ExecutionService(max_workers=2)
+        try:
+            got = service.run(qc, backend=backend, shots=200, seed=9).result()
+            counts, _ = backend.execute_circuit(qc, 200, 9)
+            assert got.get_counts() == counts
+            assert service.stats()["simulations_batched"] == 0
+        finally:
+            service.shutdown()
+
+
+# ---------------------------------------------------------------------------
 # Pipeline integration: repeated eval arm re-simulates nothing
 # ---------------------------------------------------------------------------
 

@@ -282,21 +282,39 @@ class TestExecutionRefusal:
 
 
 class TestExecutionParity:
-    def test_counts_bit_identical_to_concrete(self):
+    @pytest.mark.parametrize("path", ["batched", "serial"])
+    def test_counts_bit_identical_to_concrete(self, path):
+        """One submission batches the sweep; one circuit per submission
+        runs each point serially.  Bound and concrete agree on both."""
+
+        def counts(svc, circuits):
+            if path == "batched":
+                result = svc.run(
+                    circuits, backend="ideal", shots=256, seed=11
+                ).result()
+                return [result.get_counts(i) for i in range(len(circuits))]
+            return [
+                svc.run(
+                    qc,
+                    backend="ideal",
+                    shots=256,
+                    seed=ExecutionService._effective_seed(11, i),
+                )
+                .result()
+                .get_counts()
+                for i, qc in enumerate(circuits)
+            ]
+
         svc_bound = ExecutionService()
         svc_concrete = ExecutionService()
         template = sweep_template()
         points = SWEEP_POINTS[:6]
         bound = [template.bind({"theta": v}) for v in points]
         concrete = [concrete_sweep(v) for v in points]
-        res_bound = svc_bound.run(
-            bound, backend="ideal", shots=256, seed=11
-        ).result()
-        res_concrete = svc_concrete.run(
-            concrete, backend="ideal", shots=256, seed=11
-        ).result()
-        for i in range(len(points)):
-            assert res_bound.get_counts(i) == res_concrete.get_counts(i)
+        assert counts(svc_bound, bound) == counts(svc_concrete, concrete)
+        batched = len(points) if path == "batched" else 0
+        assert svc_bound.stats()["simulations_batched"] == batched
+        assert svc_concrete.stats()["simulations_batched"] == batched
 
     def test_sweep_costs_one_transpile_and_one_batch_group(self):
         svc = ExecutionService()

@@ -250,12 +250,31 @@ class TestBitIdentityWithLegacy:
 
 class TestObservationalEquivalence:
     """Transpiled output is observationally equivalent to its input:
-    bit-identical counts under a fixed seed, across optimization levels."""
+    bit-identical counts under a fixed seed, across optimization levels,
+    whether a circuit runs serially or in a batched group."""
 
-    @pytest.fixture
-    def service(self):
+    @pytest.fixture(params=["serial", "batched"])
+    def sample(self, request):
+        """``sample(circuit, shots, seed, backend=None)`` -> counts.
+
+        ``serial`` submits the circuit alone, so it runs on
+        ``Backend.execute_circuit``.  ``batched`` submits it beside an
+        identical twin, so an ideal final-measure circuit shares its
+        structure with the twin and runs on the batch engine.  Index 0 keeps
+        the submission's seed either way, so both paths must agree.
+        """
         svc = ExecutionService(use_cache=False)
-        yield svc
+        copies = 1 if request.param == "serial" else 2
+
+        def run(circuit, shots, seed, backend=None):
+            job = svc.run(
+                [circuit] * copies, backend=backend, shots=shots, seed=seed
+            )
+            return job.result().get_counts(0)
+
+        run.path = request.param
+        run.service = svc
+        yield run
         svc.shutdown()
 
     @pytest.mark.parametrize(
@@ -263,18 +282,14 @@ class TestObservationalEquivalence:
         [c for c in BARRIER_FREE if c.num_clbits],
         ids=lambda c: c.name,
     )
-    def test_counts_match_input_across_levels(self, service, circuit):
-        reference = (
-            service.run(circuit, shots=512, seed=77).result().get_counts()
-        )
+    def test_counts_match_input_across_levels(self, sample, circuit):
+        reference = sample(circuit, 512, 77)
         for level in (0, 1, 2):
             lowered = _new_transpile(circuit, optimization_level=level)
-            counts = (
-                service.run(lowered, shots=512, seed=77).result().get_counts()
-            )
+            counts = sample(lowered, 512, 77)
             assert counts == reference, f"level {level} diverged"
 
-    def test_routed_counts_match_across_levels(self, service):
+    def test_routed_counts_match_across_levels(self, sample):
         circuit = library.grover(3, ["101"])
         cmap = CouplingMap.linear(5)
         baseline = None
@@ -282,15 +297,13 @@ class TestObservationalEquivalence:
             lowered = _new_transpile(
                 circuit, coupling_map=cmap, optimization_level=level
             )
-            counts = (
-                service.run(lowered, shots=512, seed=5).result().get_counts()
-            )
+            counts = sample(lowered, 512, 5)
             if baseline is None:
                 baseline = counts
             else:
                 assert counts == baseline, f"level {level} diverged"
 
-    def test_barrier_drop_preserves_noisy_counts(self, service):
+    def test_barrier_drop_preserves_noisy_counts(self, sample):
         """Barriers draw nothing — even per-instruction noise trajectories
         are unchanged when they disappear, so counts stay bit-identical.
 
@@ -309,36 +322,25 @@ class TestObservationalEquivalence:
         dropped._instructions = drop_barriers(kept.instructions)
         dropped.metadata = dict(kept.metadata)
         assert all(i.name != "barrier" for i in dropped.instructions)
-        counts_kept = (
-            service.run(kept, backend=backend, shots=400, seed=13)
-            .result()
-            .get_counts()
-        )
-        counts_dropped = (
-            service.run(dropped, backend=backend, shots=400, seed=13)
-            .result()
-            .get_counts()
-        )
+        counts_kept = sample(kept, 400, 13, backend)
+        counts_dropped = sample(dropped, 400, 13, backend)
         assert counts_kept == counts_dropped
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_fuzzed_circuits_counts_match_across_levels(self, service, seed):
+    def test_fuzzed_circuits_counts_match_across_levels(self, sample, seed):
         """Seed-fuzzed circuits (random 1q/2q gate soup): every level's
         lowering samples bit-identical counts to the raw circuit."""
         circuit = library.random_circuit(3, depth=8, seed=seed, measure=True)
-        reference = (
-            service.run(circuit, shots=256, seed=seed).result().get_counts()
-        )
+        reference = sample(circuit, 256, seed)
         for level in (0, 1, 2):
             lowered = _new_transpile(circuit, optimization_level=level)
-            counts = (
-                service.run(lowered, shots=256, seed=seed)
-                .result()
-                .get_counts()
-            )
+            counts = sample(lowered, 256, seed)
             assert counts == reference, f"seed {seed} level {level} diverged"
+        # Ideal final-measure circuits: the batched path really batched.
+        batched = sample.service.stats()["simulations_batched"]
+        assert batched == (8 if sample.path == "batched" else 0)
 
-    def test_conditioned_rotation_merge_respects_conditions(self, service):
+    def test_conditioned_rotation_merge_respects_conditions(self):
         qc = _conditioned()
         for level in (0, 1, 2):
             lowered = _new_transpile(qc, optimization_level=level)
