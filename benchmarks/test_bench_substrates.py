@@ -11,7 +11,9 @@ from repro.qec.codes.surface import SurfaceCode
 from repro.qec.matching import MWPMDecoder
 from repro.qec.syndrome import sample_memory
 from repro.quantum.backend import FakeBrisbane, LocalSimulator
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.library import ghz_state, qft, random_circuit
+from repro.quantum.simulator import _run_trajectory, simulate_counts
 from repro.quantum.statevector import Statevector
 from repro.quantum.transpiler import transpile
 from repro.rag.retriever import Retriever
@@ -44,6 +46,34 @@ def test_bench_ideal_sampling(benchmark):
 
     counts = benchmark(run)
     assert set(counts) == {"0" * 10, "1" * 10}
+
+
+def test_bench_mid_circuit_measurement(benchmark):
+    """Teleport |1> with mid-circuit measures and conditional x/z corrections.
+
+    The measurement-heavy trajectory path: every shot collapses two qubits
+    mid-circuit and the corrections apply only to the matching shots.
+    """
+    qc = QuantumCircuit(3, 3)
+    qc.x(0)
+    qc.h(1)
+    qc.cx(1, 2)
+    qc.cx(0, 1)
+    qc.h(0)
+    qc.measure(0, 0)
+    qc.measure(1, 1)
+    qc.append("x", [2], condition=(1, 1))
+    qc.append("z", [2], condition=(0, 1))
+    qc.measure(2, 2)
+
+    def run():
+        return simulate_counts(qc, 1024, np.random.default_rng(17), memory=True)
+
+    counts, memory = benchmark(run)
+    reference_rng = np.random.default_rng(17)
+    assert memory == [_run_trajectory(qc, None, reference_rng) for _ in range(1024)]
+    assert sum(counts.values()) == 1024 and len(counts) == 4
+    assert all(bits[0] == "1" for bits in memory)  # Bob's clbit 2 is leftmost
 
 
 def test_bench_transpile_brisbane(benchmark):

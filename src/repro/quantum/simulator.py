@@ -7,13 +7,16 @@ Three paths:
   evolve the statevector once and multinomially sample the joint distribution.
 * **shot-batched trajectory path** — every other circuit whose draw schedule
   is state-independent (:func:`trajectory_draw_plan`): a tile of shots
-  evolves as one ``(tile, 2**n)`` stack, bit-identical to the per-shot path.
+  evolves as one ``(tile, 2**n)`` stack, gates, measurements and resets
+  alike (no per-shot loop), bit-identical to the per-shot path.
 * **per-shot trajectory path** — circuits with a conditional that draws (a
   conditional measure or reset, or a conditional gate under a noise channel):
   one trajectory per shot.  It is also the batched path's test reference.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -292,8 +295,11 @@ def _run_trajectory_tile(
     """Evolve one tile of shots through the trajectory, gates batched.
 
     ``draws[s, i]`` is the ``i``-th uniform the serial loop would draw for
-    shot ``s``; ``plan`` holds the per-instruction draw widths.  Collapse
-    stays per row through the serial helpers, keeping their norm arithmetic.
+    shot ``s``; ``plan`` holds the per-instruction draw widths.  A measure
+    or reset collapses the whole tile at once: the stack forms of
+    :func:`measure_probabilities` and :func:`collapse` match the flat calls
+    of :func:`_run_trajectory` row for row, so every shot takes the branch
+    it would take serially.
     """
     num_qubits, num_clbits = circuit.num_qubits, circuit.num_clbits
     batch = draws.shape[0]
@@ -310,30 +316,20 @@ def _run_trajectory_tile(
             matching = clbits[:, bit] == value
             _apply_rows(states, matching, inst.matrix(), inst.qubits, num_qubits)
             continue
-        if inst.name == "measure":
+        if inst.name in ("measure", "reset"):
             qubit = inst.qubits[0]
-            readout = noise.readout_for(qubit) if noise is not None else None
-            for s in range(batch):
-                p1 = measure_probabilities(states[s], qubit, num_qubits)
-                outcome = 1 if draws[s, cursor] < p1 else 0
-                states[s] = collapse(states[s], qubit, outcome, num_qubits)
-                recorded = outcome
+            p1 = measure_probabilities(states, qubit, num_qubits)
+            outcome = draws[:, cursor] < p1
+            states = collapse(states, qubit, outcome, num_qubits)
+            if inst.name == "reset":
+                _apply_rows(states, outcome, _gates.X_MATRIX, (qubit,), num_qubits)
+            else:
+                readout = noise.readout_for(qubit) if noise is not None else None
                 if readout is not None:
-                    flip_p = readout.p0_given_1 if outcome else readout.p1_given_0
-                    if draws[s, cursor + 1] < flip_p:
-                        recorded = 1 - outcome
-                clbits[s, inst.clbits[0]] = recorded
-            cursor += width
-            continue
-        if inst.name == "reset":
-            qubit = inst.qubits[0]
-            flipped = np.zeros(batch, dtype=bool)
-            for s in range(batch):
-                p1 = measure_probabilities(states[s], qubit, num_qubits)
-                outcome = 1 if draws[s, cursor] < p1 else 0
-                states[s] = collapse(states[s], qubit, outcome, num_qubits)
-                flipped[s] = outcome == 1
-            _apply_rows(states, flipped, _gates.X_MATRIX, (qubit,), num_qubits)
+                    # ReadoutError.apply's flip, one threshold per row.
+                    flip_p = np.where(outcome, readout.p0_given_1, readout.p1_given_0)
+                    outcome = outcome ^ (draws[:, cursor + 1] < flip_p)
+                clbits[:, inst.clbits[0]] = outcome
             cursor += width
             continue
         states = apply_matrix(states, inst.matrix(), inst.qubits, num_qubits)
@@ -392,7 +388,5 @@ def tally_counts(
     outcomes: list[str], memory: bool
 ) -> tuple[dict[str, int], list[str] | None]:
     """Fold per-shot bitstrings into ``(sorted counts, optional memory)``."""
-    counts: dict[str, int] = {}
-    for bits in outcomes:
-        counts[bits] = counts.get(bits, 0) + 1
-    return dict(sorted(counts.items())), (outcomes if memory else None)
+    counts = dict(sorted(Counter(outcomes).items()))
+    return counts, (outcomes if memory else None)

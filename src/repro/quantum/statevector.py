@@ -83,24 +83,86 @@ def _one_mask(num_qubits: int, qubit: int) -> np.ndarray:
     return mask
 
 
-def measure_probabilities(state: np.ndarray, qubit: int, num_qubits: int) -> float:
-    """Return P(qubit = 1) for one qubit of a flat state."""
-    probs = np.abs(state) ** 2
-    return float(probs[_one_mask(num_qubits, qubit)].sum())
+def _pairwise_row_sums(values: np.ndarray) -> np.ndarray:
+    """Sum each row of a ``(rows, 2**k)`` float array in numpy's flat order.
+
+    A flat ``x.sum()`` is numpy's pairwise summation: below 8 elements, a
+    sequential add; up to 128, eight accumulators over strided columns,
+    combined as ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``; above that, the
+    first half's sum plus the second's, each recursed.  An axis reduction
+    (``values.sum(axis=1)``) sums pairwise only along the fast axis, so its
+    order follows memory layout: on the column-major gather ``probs[:,
+    mask]`` it adds each row sequentially and drifts in the last ulp from 8
+    elements on.  This replays the flat order on every row at once,
+    whatever the layout.  ``np.add.accumulate`` is sequential by definition,
+    so its last entry is each sequential running sum (the flat loop's
+    leading ``0.0 +`` is exact: squared magnitudes are never ``-0.0``).
+    With power-of-two rows every 128-element block is a leaf of the
+    recursion, and adding adjacent pairs level by level walks the same
+    tree: first each block's accumulators, then neighbouring blocks.
+    """
+    rows, size = values.shape
+    if size < 8:
+        return np.add.accumulate(values, axis=1)[:, -1]
+    blocks = values.reshape(-1, min(size, 128) // 8, 8)
+    sums = np.add.accumulate(blocks, axis=1)[:, -1].reshape(rows, -1)
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    return sums[:, 0]
+
+
+def measure_probabilities(
+    state: np.ndarray, qubit: int, num_qubits: int
+) -> float | np.ndarray:
+    """Return P(qubit = 1) of a flat state, or of every row of a stack.
+
+    ``state`` is one flat state (returns a ``float``) or a ``(batch,
+    2**n)`` stack (returns a ``(batch,)`` array).  Each row's probability
+    equals the flat ``float((np.abs(row) ** 2)[mask].sum())`` bit for bit:
+    the masked probabilities are summed in numpy's flat pairwise order
+    (:func:`_pairwise_row_sums`), never by an axis reduction, because the
+    shot-batched trajectory path compares every row's value against a
+    uniform draw exactly as the per-shot path does.
+    """
+    probs = np.abs(state.reshape(-1, 2**num_qubits)) ** 2
+    rows = len(probs)
+    # Axis 2 is ``qubit``'s bit: index 1 keeps the bit-1 amplitudes in
+    # ascending order, as a boolean mask would, without a fancy-index gather.
+    ones = probs.reshape(rows, -1, 2, 2**qubit)[:, :, 1, :]
+    p1 = _pairwise_row_sums(ones.reshape(rows, -1))
+    return float(p1[0]) if state.ndim == 1 else p1
 
 
 def collapse(
-    state: np.ndarray, qubit: int, outcome: int, num_qubits: int
+    state: np.ndarray,
+    qubit: int,
+    outcome: int | np.ndarray,
+    num_qubits: int,
 ) -> np.ndarray:
-    """Project a flat state onto ``qubit == outcome`` and renormalise."""
-    ones = _one_mask(num_qubits, qubit)
-    new = np.where(ones, state, 0.0) if outcome else np.where(ones, 0.0, state)
-    norm = np.linalg.norm(new)
-    if norm < _ATOL:
+    """Project onto ``qubit == outcome`` and renormalise, flat or per row.
+
+    ``state`` is one flat state with an ``int`` outcome, or a ``(batch,
+    2**n)`` stack with one outcome per row; returns a new array of the same
+    shape.  Each row's norm is the ``ddot`` of its real parts plus that of
+    its imaginary parts, one stacked ``np.matmul`` of ``(1, 2**n) @ (2**n,
+    1)`` per row: the same BLAS call ``np.linalg.norm`` makes on a flat
+    state, so a collapsed row equals its flat twin bit for bit.
+    """
+    rows = state.reshape(-1, 2**num_qubits)
+    outcomes = np.asarray(outcome, dtype=bool).reshape(-1)
+    new = np.where(_one_mask(num_qubits, qubit) == outcomes[:, None], rows, 0.0)
+    real, imag = new.real, new.imag
+    squared = np.matmul(real[:, None, :], real[:, :, None]) + np.matmul(
+        imag[:, None, :], imag[:, :, None]
+    )
+    norm = np.sqrt(squared.reshape(-1, 1))
+    if norm.min() < _ATOL:
+        first = int(np.argmax(norm < _ATOL))
         raise SimulationError(
-            f"collapse onto qubit {qubit}={outcome} has zero probability"
+            f"collapse onto qubit {qubit}={int(outcomes[first])} has zero "
+            "probability"
         )
-    return new / norm
+    return (new / norm).reshape(state.shape)
 
 
 class Statevector:

@@ -149,6 +149,72 @@ class TestMeasurementHelpers:
             collapse(state, 0, 1, 1)
 
 
+def _flat_p1(row, qubit, n):
+    """P(qubit = 1) by the flat formula every stacked row must reproduce."""
+    mask = (np.arange(2**n) & (1 << qubit)) != 0
+    return float((np.abs(row) ** 2)[mask].sum())
+
+
+def _flat_collapse(row, qubit, outcome, n):
+    """Projection and renormalisation by the flat formula (np.linalg.norm)."""
+    mask = (np.arange(2**n) & (1 << qubit)) != 0
+    new = np.where(mask, row, 0.0) if outcome else np.where(mask, 0.0, row)
+    return new / np.linalg.norm(new)
+
+
+def _random_stack(rng, batch, n, kind):
+    states = rng.normal(size=(batch, 2**n)) + 1j * rng.normal(size=(batch, 2**n))
+    if kind == "half-zero":
+        states[:, rng.permutation(2**n)[: 2**n // 2]] = 0.0
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+class TestStackedMeasurementHelpers:
+    """Stacked helpers equal the flat formulas row for row, exactly.
+
+    The shot-batched trajectory path collapses a whole tile through these
+    helpers and the per-shot path calls them on flat states; a last-ulp
+    difference would send a shot down another branch.  The flat formulas
+    are frozen above, so a numpy change to its summation order fails here
+    before it silently shifts sampled counts.
+    """
+
+    @pytest.mark.parametrize("kind", ["dense", "half-zero"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rows_match_flat_formulas(self, n, kind):
+        rng = np.random.default_rng(100 * n + len(kind))
+        for batch in (1, 2, 7, 64):
+            states = _random_stack(rng, batch, n, kind)
+            for qubit in range(n):
+                p1 = measure_probabilities(states, qubit, n)
+                assert p1.shape == (batch,)
+                want_p1 = [_flat_p1(row, qubit, n) for row in states]
+                assert p1.tolist() == want_p1
+                # Outcomes drawn as the trajectory path draws them.
+                outcomes = rng.random(batch) < p1
+                collapsed = collapse(states, qubit, outcomes, n)
+                assert collapsed.shape == states.shape
+                for row, got, outcome in zip(states, collapsed, outcomes):
+                    want = _flat_collapse(row, qubit, int(outcome), n)
+                    flat = collapse(row, qubit, int(outcome), n)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(flat, want)
+                flat_p1 = measure_probabilities(states[0], qubit, n)
+                assert isinstance(flat_p1, float) and flat_p1 == want_p1[0]
+
+    def test_zero_probability_row_raises_the_flat_error(self):
+        n, qubit = 3, 1
+        states = np.zeros((3, 2**n), dtype=complex)
+        states[:, 0] = 1.0  # |000>: qubit 1 reads 0 with certainty
+        outcomes = np.array([False, True, False])
+        with pytest.raises(SimulationError) as flat:
+            collapse(states[1], qubit, 1, n)
+        with pytest.raises(SimulationError) as stacked:
+            collapse(states, qubit, outcomes, n)
+        assert str(stacked.value) == str(flat.value)
+        assert "qubit 1=1" in str(flat.value)
+
+
 class TestStatistics:
     def test_marginal_probabilities(self):
         qc = QuantumCircuit(2)

@@ -107,6 +107,47 @@ def test_batched_path_matches_per_shot_reference(seed, tile_cap):
         assert got_rng.random() == want_rng.random()
 
 
+def wide_circuit(rng: np.random.Generator, num_qubits: int) -> QuantumCircuit:
+    """An entangled prefix with a mid-circuit measure and a reset, then noise.
+
+    The prefix spreads amplitude over every basis state, so each collapse
+    sums hundreds of nonzero probabilities (numpy's recursive pairwise
+    branch above 128 elements); :func:`random_circuit` follows.
+    """
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    for q in range(num_qubits):
+        qc.ry(float(rng.uniform(0, 2 * np.pi)), q)
+    for q in range(num_qubits - 1):
+        qc.cx(q, q + 1)
+    qc.measure(0, 0)
+    qc.append("x", [1], condition=(0, 1))
+    qc.reset(2)
+    qc.rx(float(rng.uniform(0, 2 * np.pi)), 2)
+    return qc.compose(random_circuit(rng, num_qubits))
+
+
+@pytest.mark.parametrize("num_qubits", [9, 10])
+@pytest.mark.parametrize("seed", range(2))
+def test_wide_tiles_match_per_shot_reference(seed, num_qubits, monkeypatch):
+    # A small cap keeps several shots per tile at 9-10 qubits.
+    monkeypatch.setattr(simulator, "TRAJECTORY_TILE_AMPLITUDES", 2**11)
+    rng = np.random.default_rng(700 + seed)
+    noise = noise_model()
+    circuit = _compact(wide_circuit(rng, num_qubits))
+    assert circuit.num_qubits == num_qubits
+    assert all(noise.readout_for(q) is not None for q in range(num_qubits))
+    assert trajectory_draw_plan(circuit, noise) is not None
+    tile = trajectory_tile_shots(num_qubits)
+    assert tile > 1
+    for shots in (1, tile, 3 * tile + 7):
+        got_rng = np.random.default_rng(2000 + shots)
+        want_rng = np.random.default_rng(2000 + shots)
+        got = run_trajectories(circuit, shots, got_rng, noise)
+        want = reference(circuit, shots, want_rng, noise)
+        assert got == want, f"{shots} shots diverged (tile {tile})"
+        assert got_rng.random() == want_rng.random()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_simulate_counts_memory_matches_reference(seed, tile_cap):
     rng = np.random.default_rng(50 + seed)

@@ -287,6 +287,65 @@ class TestR005ParamFloatCoercion:
         ) == []
 
 
+class TestR006AxisReductions:
+    KERNEL_PATHS = [
+        "src/repro/quantum/statevector.py",
+        "src/repro/quantum/simulator.py",
+        "src/repro/quantum/batchsim/state.py",
+    ]
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "p1 = probs[:, mask].sum(axis=1)",
+            "p1 = probs.sum(1)",
+            "p1 = np.sum(probs, axis=-1)",
+            "p1 = np.sum(probs, 1)",
+            "p1 = numpy.sum(probs, axis=(1,))",
+            "norm = np.linalg.norm(rows, axis=1, keepdims=True)",
+            "norm = np.linalg.norm(rows, None, 1)",
+            "norm = linalg.norm(rows, axis=1)",
+            "sq = np.einsum('ij,ij->i', rows.conj(), rows)",
+            "sq = np.einsum(rows, [0, 1], [0])",
+        ],
+    )
+    def test_axis_reduction_flagged_in_kernel_modules(self, source, path):
+        found = lint(source, path)
+        assert [v.rule for v in found] == ["R006"]
+        assert "flat order" in found[0].message
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "total = probs.sum()",
+            "total = float(probs[mask].sum())",
+            "total = np.sum(probs)",
+            "total = probs.sum(axis=None)",
+            "total = np.sum(probs, axis=None)",
+            "total = probs.sum(dtype=float)",
+            "norm = np.linalg.norm(row)",
+            "norm = np.linalg.norm(row, 2)",
+            "run = np.add.accumulate(values, axis=1)[:, -1]",
+            "total = sum(weights)",
+        ],
+    )
+    def test_flat_reductions_allowed(self, source, path):
+        assert codes(source, path) == []
+
+    @pytest.mark.parametrize(
+        "path",
+        ["src/repro/quantum/noise.py", "src/repro/qec/matching.py", "tests/test_x.py"],
+    )
+    def test_outside_kernel_modules_not_flagged(self, path):
+        assert codes("p = probs.sum(axis=1)\nq = np.einsum('ii', m)", path) == []
+
+    def test_violation_points_at_line(self):
+        found = lint("x = 1\ny = s.sum(axis=0)\n", "src/repro/quantum/simulator.py")
+        assert [(v.rule, v.line) for v in found] == [("R006", 2)]
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

@@ -50,6 +50,16 @@ R005  Direct ``float()`` coercion of a gate parameter outside the binding
       bound or rejected with the coded error.  Allowed only in
       ``quantum/parameters.py`` (the sanctioned coercions live there).
 
+R006  Axis-wise reduction in a kernel module (``statevector.py``,
+      ``simulator.py``, ``batchsim/``): ``x.sum(axis=...)``,
+      ``np.sum(x, axis=...)``, ``np.linalg.norm(x, axis=...)`` (positional
+      axes too) and any ``np.einsum``.  numpy sums pairwise only along the
+      fast axis, so an axis reduction's order follows memory layout and
+      differs in the last ulp from the flat ``x.sum()`` / ``np.linalg.norm``
+      of each row; a batched row then drifts from its flat twin.  Reduce
+      each row in the flat order instead (see
+      ``statevector._pairwise_row_sums`` and ``statevector.collapse``).
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -74,6 +84,9 @@ R001_ALLOWED = (
 
 #: R003 only applies to paths with one of these directory or file names.
 R003_DIRS = {"batchsim", "statevector.py"}
+
+#: R006 only applies to paths with one of these directory or file names.
+R006_DIRS = {"batchsim", "statevector.py", "simulator.py"}
 
 #: Pass-library modules (by trailing path parts) whose public functions R004
 #: requires to be referenced somewhere outside their own module.
@@ -297,11 +310,56 @@ def _check_param_float_coercion(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
+def _reduces_an_axis(node: ast.Call, position: int) -> bool:
+    """True when a reduction call names an axis (keyword or ``position``-th arg)."""
+    axis = next((k.value for k in node.keywords if k.arg == "axis"), None)
+    if axis is None and len(node.args) > position:
+        axis = node.args[position]
+    return axis is not None and not (
+        isinstance(axis, ast.Constant) and axis.value is None
+    )
+
+
+def _check_axis_reductions(path: Path, tree: ast.AST) -> list[Violation]:
+    """R006: axis-wise reductions in the simulation kernel's modules."""
+    if not R006_DIRS.intersection(path.parts):
+        return []
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _terminal_name(node.func)
+        if name == "einsum":
+            form = "np.einsum"
+        elif name == "sum" and isinstance(node.func, ast.Attribute):
+            # ``np.sum(x, axis)`` takes the axis second, ``x.sum(axis)`` first.
+            module = _terminal_name(node.func.value) in ("np", "numpy")
+            if not _reduces_an_axis(node, 1 if module else 0):
+                continue
+            form = "np.sum(..., axis=...)" if module else ".sum(axis=...)"
+        elif name == "norm" and _reduces_an_axis(node, 2):
+            form = "np.linalg.norm(..., axis=...)"
+        else:
+            continue
+        found.append(
+            Violation(
+                path, node.lineno, "R006",
+                f"axis-wise reduction {form} in a kernel module: numpy sums "
+                "pairwise only along the fast axis, so the order follows "
+                "memory layout and a batched row drifts from its flat twin "
+                "in the last ulp; reduce each row in the flat order (see "
+                "statevector._pairwise_row_sums)",
+            )
+        )
+    return found
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
     _check_column_folded_matmul,
     _check_param_float_coercion,
+    _check_axis_reductions,
 )
 
 
