@@ -10,10 +10,10 @@ graphs that MWPM and union-find operate on.
 from __future__ import annotations
 
 import numpy as np
-import networkx as nx
 
 from repro.errors import CodeConstructionError
 from repro.stabilizer.pauli import PauliString
+from repro.utils.graph import Graph
 
 #: The virtual boundary vertex in matching graphs.
 BOUNDARY = "boundary"
@@ -169,7 +169,7 @@ class CSSCode:
 
     # -- matching graph ---------------------------------------------------------------
 
-    def matching_graph(self, error_type: str) -> nx.Graph:
+    def matching_graph(self, error_type: str) -> Graph:
         """Decoder graph for one error type.
 
         Nodes are check indices (ints) plus the virtual :data:`BOUNDARY`
@@ -183,7 +183,7 @@ class CSSCode:
                 checks (not a matchable code for this error type).
         """
         checks = self._checks_for(error_type)
-        graph = nx.Graph()
+        graph = Graph()
         graph.add_node(BOUNDARY)
         graph.add_nodes_from(range(checks.shape[0]))
         for qubit in range(checks.shape[1]):

@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import DecodingError
 from repro.qec.blossom import max_weight_matching
 from repro.qec.codes.base import BOUNDARY, CSSCode
 from repro.qec.syndrome import DetectionEvent, SyndromeHistory
+from repro.utils.graph import shortest_path, single_source_shortest_path_length
 
 
 @dataclass
@@ -68,12 +68,13 @@ class MWPMDecoder:
         # to the boundary; ``inf`` where no path exists.
         num_checks = self._spatial.number_of_nodes()
         self._dist = [[math.inf] * num_checks for _ in range(num_checks)]
-        for c1, lengths in nx.all_pairs_shortest_path_length(self._spatial):
+        for c1 in self._spatial.nodes:
+            lengths = single_source_shortest_path_length(self._spatial.adj, c1)
             for c2, length in lengths.items():
                 self._dist[c1][c2] = length
         self._boundary_dist = [math.inf] * num_checks
-        for node, length in nx.single_source_shortest_path_length(
-            self._graph, BOUNDARY
+        for node, length in single_source_shortest_path_length(
+            self._graph.adj, BOUNDARY
         ).items():
             if node != BOUNDARY:
                 self._boundary_dist[node] = float(length)
@@ -163,14 +164,14 @@ class MWPMDecoder:
             return (), 0.0
         cached = self._pair_paths.get((c1, c2))
         if cached is None:
-            path = nx.shortest_path(self._spatial, c1, c2)
+            path = shortest_path(self._spatial.adj, c1, c2)
             cached = self._pair_paths[c1, c2] = self._faults_and_length(path)
         return cached
 
     def _path_to_boundary(self, check: int) -> tuple[tuple[int, ...], float]:
         cached = self._boundary_paths.get(check)
         if cached is None:
-            path = nx.shortest_path(self._graph, check, BOUNDARY)
+            path = shortest_path(self._graph.adj, check, BOUNDARY)
             cached = self._boundary_paths[check] = self._faults_and_length(path)
         return cached
 

@@ -7,8 +7,13 @@ discussion cares about.  The implementation follows the standard two phases:
 1. **Cluster growth** — clusters seeded at space-time detection events grow by
    half-edges on the space-time decoding graph until every cluster has even
    defect parity or touches the spatial boundary.
-2. **Peeling** — within each cluster's spanning forest, leaves are peeled off;
-   a leaf edge joins the correction iff it is needed to pair up defects.
+2. **Peeling** — within a spanning forest of the grown edges, leaves are
+   peeled off; a leaf edge joins the correction iff it is needed to pair up
+   defects.
+
+Every step iterates sorted defects, insertion-ordered dicts and a
+breadth-first forest, never a set, so the corrections do not depend on
+string hashing (``PYTHONHASHSEED``): the boundary node is a string tuple.
 
 Corrections only collect *space* edges (data-qubit faults); time edges
 represent measurement errors and need no data correction.
@@ -18,12 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import DecodingError
 from repro.qec.codes.base import BOUNDARY, CSSCode
-from repro.qec.syndrome import DetectionEvent, SyndromeHistory
+from repro.qec.syndrome import SyndromeHistory
+from repro.utils.graph import Graph, spanning_forest
+
+
+#: The space-time graph's boundary node (one for every round).
+_BOUNDARY = ("B",)
 
 
 @dataclass
@@ -87,11 +96,10 @@ class UnionFindDecoder:
 
     # -- space-time graph -----------------------------------------------------
 
-    def _build_graph(self, rounds: int) -> nx.Graph:
+    def _build_graph(self, rounds: int) -> Graph:
         """Replicate the spatial graph across rounds; add time edges."""
-        graph = nx.Graph()
-        boundary = ("B",)
-        graph.add_node(boundary)
+        graph = Graph()
+        graph.add_node(_BOUNDARY)
         checks = [n for n in self._space_graph.nodes if n != BOUNDARY]
         for t in range(rounds + 1):
             for c in checks:
@@ -99,14 +107,15 @@ class UnionFindDecoder:
             for a, b, data in self._space_graph.edges(data=True):
                 fault = data["fault"]
                 if a == BOUNDARY:
-                    graph.add_edge((t, b), boundary, fault=fault, kind="space")
+                    graph.add_edge((t, b), _BOUNDARY, fault=fault)
                 elif b == BOUNDARY:
-                    graph.add_edge((t, a), boundary, fault=fault, kind="space")
+                    graph.add_edge((t, a), _BOUNDARY, fault=fault)
                 else:
-                    graph.add_edge((t, a), (t, b), fault=fault, kind="space")
+                    graph.add_edge((t, a), (t, b), fault=fault)
             if t > 0:
                 for c in checks:
-                    graph.add_edge((t - 1, c), (t, c), fault=None, kind="time")
+                    # Time edges are measurement errors: no data fault.
+                    graph.add_edge((t - 1, c), (t, c), fault=None)
         return graph
 
     # -- decoding -----------------------------------------------------------------
@@ -125,20 +134,20 @@ class UnionFindDecoder:
             return UnionFindResult(np.zeros(n, dtype=bool), 0, 0)
 
         graph = self._build_graph(rounds)
-        defects: set = {(t, c) for t, c in events}
+        defects = sorted({(t, c) for t, c in events})
         for node in defects:
             if node not in graph:
                 raise DecodingError(f"detection event {node} outside the graph")
 
         dsu = _DisjointSet()
-        boundary = ("B",)
-        dsu.add(boundary, defect=False, boundary=True)
+        dsu.add(_BOUNDARY, defect=False, boundary=True)
         for node in defects:
             dsu.add(node, defect=True, boundary=False)
 
         growth: dict[tuple, int] = {}  # edge key -> half-edges grown (0..2)
-        in_cluster: set = set(defects)
-        grown_edges: set = set()
+        # Insertion-ordered stand-ins for sets: keys only, values unused.
+        in_cluster = dict.fromkeys(defects)
+        grown_edges: dict[tuple, None] = {}
         max_rounds = 2 * (graph.number_of_nodes() + 1)
         rounds_used = 0
         while any(dsu.is_odd(node) for node in list(in_cluster)):
@@ -157,61 +166,37 @@ class UnionFindDecoder:
             for node, nbr, key in frontier:
                 growth[key] = growth.get(key, 0) + 1
                 if growth[key] >= 2 and key not in grown_edges:
-                    grown_edges.add(key)
+                    grown_edges[key] = None
                     if nbr not in dsu.parent:
-                        dsu.add(nbr, defect=False, boundary=nbr == boundary)
-                    in_cluster.add(nbr)
+                        dsu.add(nbr, defect=False, boundary=nbr == _BOUNDARY)
+                    in_cluster[nbr] = None
                     dsu.union(node, nbr)
 
-        correction = self._peel(graph, grown_edges, defects, dsu)
+        correction = self._peel(graph, grown_edges, defects)
         clusters = {dsu.find(n) for n in in_cluster}
         return UnionFindResult(correction, rounds_used, len(clusters))
 
     # -- peeling ---------------------------------------------------------------------
 
-    def _peel(
-        self,
-        graph: nx.Graph,
-        grown_edges: set,
-        defects: set,
-        dsu: _DisjointSet,
-    ) -> np.ndarray:
-        n = self.code.num_data_qubits
-        correction = np.zeros(n, dtype=bool)
-        erasure = nx.Graph()
-        for key in grown_edges:
-            a, b = key
-            erasure.add_edge(a, b, **graph.edges[a, b])
-        # Spanning forest of the erasure; peel leaves, flipping defect marks.
-        marked = {node: (node in defects) for node in erasure.nodes}
-        boundary = ("B",)
-        for component in list(nx.connected_components(erasure)):
-            tree = nx.minimum_spanning_tree(erasure.subgraph(component))
-            # Peel from the leaves inward; treat the boundary node as the
-            # root so it is peeled last and absorbs any leftover defect.
-            order = sorted(
-                tree.nodes, key=lambda v: (v == boundary, tree.degree(v))
-            )
-            tree = tree.copy()
-            while tree.number_of_nodes() > 1:
-                leaves = [
-                    v
-                    for v in tree.nodes
-                    if tree.degree(v) == 1 and v != boundary
-                ]
-                if not leaves:
-                    break
-                for leaf in leaves:
-                    if tree.number_of_nodes() <= 1 or leaf not in tree:
-                        continue
-                    (parent,) = list(tree.neighbors(leaf))
-                    if marked.get(leaf, False):
-                        edge = tree.edges[leaf, parent]
-                        if edge.get("kind") == "space" and edge.get("fault") is not None:
-                            correction[edge["fault"]] ^= True
-                        marked[parent] = not marked.get(parent, False)
-                        marked[leaf] = False
-                    tree.remove_node(leaf)
+    def _peel(self, graph: Graph, grown_edges: dict, defects: list) -> np.ndarray:
+        """Peel a BFS spanning forest of the grown edges, leaves first.
+
+        The boundary node roots its tree, so it absorbs a leftover defect;
+        every other tree holds an even number of defects.  Walking the tree
+        edges in reverse visiting order reaches each subtree before its
+        parent edge: a marked child flips its edge and passes the mark up.
+        """
+        correction = np.zeros(self.code.num_data_qubits, dtype=bool)
+        erasure = Graph()
+        for a, b in grown_edges:
+            erasure.add_edge(a, b)
+        marked = set(defects)
+        for parent, child in reversed(spanning_forest(erasure.adj, [_BOUNDARY])):
+            if child in marked:
+                fault = graph.edges[parent, child]["fault"]
+                if fault is not None:
+                    correction[fault] ^= True
+                marked ^= {parent, child}
         return correction
 
 

@@ -62,7 +62,14 @@ Quickstart::
 
 ``Backend.run`` remains available and now delegates here, so legacy call
 sites transparently share the same cache and counters.
+
+The serving-tier names (``CacheServer``, ``RemoteResultCache``,
+``CACHE_TOKEN_ENV``, the ``dispatch``, ``tenants``, ``jobstore`` and
+``metrics`` exports) load on first use, through the module ``__getattr__``:
+a local run never imports ``http.server``, ``urllib.request`` or ``ssl``.
 """
+
+import importlib
 
 from repro.quantum.execution.cache import (
     CacheKey,
@@ -72,20 +79,7 @@ from repro.quantum.execution.cache import (
     noise_fingerprint,
 )
 from repro.quantum.execution.disk_cache import CacheLimits, DiskResultCache
-from repro.quantum.execution.dispatch import (
-    DispatchClient,
-    EvalCoordinator,
-    WorkQueue,
-    run_worker,
-)
 from repro.quantum.execution.jobs import ExecutionJob, JobStatus
-from repro.quantum.execution.jobstore import JobStore
-from repro.quantum.execution.metrics import METRICS_CONTENT_TYPE, serving_metrics
-from repro.quantum.execution.remote_cache import (
-    CACHE_TOKEN_ENV,
-    CacheServer,
-    RemoteResultCache,
-)
 from repro.quantum.execution.registry import (
     BackendProvider,
     get_backend,
@@ -98,13 +92,6 @@ from repro.quantum.execution.scopes import (
     StatsScope,
     stats_scope,
     use_scope,
-)
-from repro.quantum.execution.tenants import (
-    TENANT_FILE_ENV,
-    Tenant,
-    TenantRegistry,
-    TokenBucket,
-    load_tenants,
 )
 from repro.quantum.execution.transpile_cache import (
     basis_fingerprint,
@@ -121,6 +108,35 @@ from repro.quantum.execution.service import (
     set_default_service,
     validate_from_env,
 )
+
+#: The serving tier, imported on first use: name -> defining submodule.
+_LAZY = {
+    "CACHE_TOKEN_ENV": "remote_cache",
+    "CacheServer": "remote_cache",
+    "RemoteResultCache": "remote_cache",
+    "DispatchClient": "dispatch",
+    "EvalCoordinator": "dispatch",
+    "WorkQueue": "dispatch",
+    "run_worker": "dispatch",
+    "JobStore": "jobstore",
+    "METRICS_CONTENT_TYPE": "metrics",
+    "serving_metrics": "metrics",
+    "TENANT_FILE_ENV": "tenants",
+    "Tenant": "tenants",
+    "TenantRegistry": "tenants",
+    "TokenBucket": "tenants",
+    "load_tenants": "tenants",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BackendProvider",

@@ -85,7 +85,6 @@ from repro.quantum.execution.cache import (
 from repro.quantum.execution.disk_cache import CacheLimits, DiskResultCache
 from repro.quantum.execution.jobs import ExecutionJob, JobStatus
 from repro.quantum.execution.registry import resolve_backend
-from repro.quantum.execution.remote_cache import RemoteResultCache
 from repro.quantum.execution.scopes import (
     StatsScope,
     active_scopes,
@@ -219,9 +218,12 @@ class ExecutionService:
                 if cache_dir is not None
                 else None
             )
-            remote = (
-                RemoteResultCache(remote_url) if remote_url is not None else None
-            )
+            remote = None
+            if remote_url is not None:
+                # The HTTP tier (urllib, http.server) loads only when asked for.
+                from repro.quantum.execution.remote_cache import RemoteResultCache
+
+                remote = RemoteResultCache(remote_url)
             cache = ResultCache(disk=disk, remote=remote)
         self.cache = cache
         self._pool: ThreadPoolExecutor | None = None

@@ -9,10 +9,10 @@ IBM Eagle-class lattice used by :class:`repro.quantum.backend.FakeBrisbane`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-
-import networkx as nx
+from types import MappingProxyType
 
 from repro.errors import TranspilerError
+from repro.utils import graph
 
 
 class CouplingMap:
@@ -26,7 +26,7 @@ class CouplingMap:
 
     def __init__(self, edges: Iterable[tuple[int, int]], name: str = "custom") -> None:
         self.name = name
-        self._graph = nx.Graph()
+        self._graph = graph.Graph()
         for a, b in edges:
             if a == b:
                 raise TranspilerError(f"self-loop edge ({a}, {b}) in coupling map")
@@ -48,38 +48,37 @@ class CouplingMap:
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self._graph.edges)
+        return sorted(tuple(sorted(e)) for e in self._graph.edges())
 
     @property
-    def graph(self) -> nx.Graph:
-        return self._graph.copy()
+    def adjacency(self) -> MappingProxyType:
+        """Read-only ``{qubit: {neighbour: {}}}``, qubits and neighbours in
+        the order the edges first named them."""
+        return MappingProxyType(self._graph.adj)
 
     def neighbors(self, qubit: int) -> list[int]:
         return sorted(self._graph.neighbors(qubit))
 
     def degree(self, qubit: int) -> int:
-        return self._graph.degree[qubit]
+        return self._graph.degree(qubit)
 
     def are_coupled(self, a: int, b: int) -> bool:
         return self._graph.has_edge(a, b)
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self._graph)
+        return graph.is_connected(self._graph.adj)
 
     def distance(self, a: int, b: int) -> int:
-        try:
-            return nx.shortest_path_length(self._graph, a, b)
-        except nx.NetworkXNoPath as exc:
-            raise TranspilerError(f"qubits {a} and {b} are not connected") from exc
+        return len(self.shortest_path(a, b)) - 1
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         try:
-            return nx.shortest_path(self._graph, a, b)
-        except nx.NetworkXNoPath as exc:
+            return graph.shortest_path(self._graph.adj, a, b)
+        except graph.NoPath as exc:
             raise TranspilerError(f"qubits {a} and {b} are not connected") from exc
 
     def max_degree(self) -> int:
-        return max(d for _, d in self._graph.degree)
+        return max(len(nbrs) for nbrs in self._graph.adj.values())
 
     def subgraph_has_grid(self, rows: int, cols: int) -> bool:
         """Check whether a ``rows x cols`` grid embeds as a subgraph.
@@ -90,14 +89,12 @@ class CouplingMap:
         """
         if rows * cols > self.num_qubits:
             return False
-        grid = nx.grid_2d_graph(rows, cols)
-        matcher = nx.algorithms.isomorphism.GraphMatcher(self._graph, grid)
-        return matcher.subgraph_is_monomorphic()
+        return graph.embeds_grid(self._graph.adj, rows, cols)
 
     def __repr__(self) -> str:
         return (
             f"CouplingMap(name='{self.name}', qubits={self.num_qubits}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"edges={len(self.edges)})"
         )
 
     # -- constructors ------------------------------------------------------------

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import networkx as nx
-
 from repro.errors import TranspilerError
 from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.topology import CouplingMap
+from repro.utils.graph import bfs_edges
 
 
 class Layout:
@@ -69,9 +68,9 @@ def dense_layout(circuit: QuantumCircuit, cmap: CouplingMap) -> Layout:
         raise TranspilerError(
             f"circuit needs {n} qubits, device has {cmap.num_qubits}"
         )
-    graph = cmap.graph
-    start = max(graph.degree, key=lambda kv: kv[1])[0]
-    order = [start] + [v for _, v in nx.bfs_edges(graph, start)]
+    adj = cmap.adjacency
+    start = max(adj, key=lambda q: len(adj[q]))
+    order = [start] + [v for _, v in bfs_edges(adj, start)]
     chosen = order[:n]
     if len(chosen) < n:
         raise TranspilerError("device graph is disconnected; cannot place circuit")

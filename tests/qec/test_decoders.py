@@ -6,6 +6,11 @@ exhaustively for small weights.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +148,49 @@ class TestUnionFind:
         decoder = UnionFindDecoder(code, "x")
         result = decoder.decode([(1, 2), (2, 2)], rounds=3)
         assert not result.correction.any()
+
+    def test_same_corrections_under_any_hash_seed(self):
+        # The space-time graph's boundary node is a string tuple, so any
+        # iteration over a set of nodes would follow PYTHONHASHSEED.
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from repro.qec.codes.surface import SurfaceCode
+            from repro.qec.experiments import logical_error_rate
+            from repro.qec.unionfind import UnionFindDecoder
+
+            digest = hashlib.sha256()
+            for d in (3, 5, 7):
+                code = SurfaceCode(d)
+                decoder = UnionFindDecoder(code, "x")
+                rng = np.random.default_rng(d)
+                for _ in range(100):
+                    rounds = int(rng.integers(0, 4))
+                    events = {
+                        (int(rng.integers(0, rounds + 1)),
+                         int(rng.integers(0, code.num_z_checks)))
+                        for _ in range(int(rng.integers(1, 7)))
+                    }
+                    result = decoder.decode(sorted(events), rounds=rounds)
+                    digest.update(result.correction.tobytes())
+            code = SurfaceCode(3)
+            rate = logical_error_rate(
+                code, UnionFindDecoder(code, "x"), 3, 0.03, shots=300, seed=3
+            )
+            print(digest.hexdigest(), rate.logical_failures)
+        """)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+            env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestLookup:

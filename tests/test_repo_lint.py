@@ -346,6 +346,52 @@ class TestR006AxisReductions:
         assert [(v.rule, v.line) for v in found] == [("R006", 2)]
 
 
+class TestR007TestOnlyImports:
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("import networkx", 1),
+            ("import networkx as nx", 1),
+            ("import numpy as np, networkx as nx", 1),
+            ("from networkx import Graph", 1),
+            ("from networkx.algorithms.isomorphism import GraphMatcher", 1),
+            ("import networkx.algorithms", 1),
+            ("def f():\n    import networkx as nx\n    return nx.Graph()", 2),
+            ("try:\n    import networkx\nexcept ImportError:\n    pass", 2),
+            ("import importlib\nnx = importlib.import_module('networkx')", 2),
+            ("nx = __import__('networkx.algorithms')", 1),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "path", ["src/repro/qec/matching.py", "src/repro/quantum/topology.py"]
+    )
+    def test_import_flagged_under_src(self, source, line, path):
+        found = lint(source, path)
+        assert [(v.rule, v.line) for v in found] == [("R007", line)]
+        assert "repro.utils.graph" in found[0].message
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.utils import graph",
+            "from repro.utils.graph import shortest_path",
+            "import networkxlike",
+            "from .networkx import helper",
+            "# import networkx",
+            "DOC = 'matches networkx.shortest_path node for node'",
+            "name = 'networkx'\nmod = importlib.import_module(name)",
+        ],
+    )
+    def test_non_imports_allowed(self, source):
+        assert codes(source, "src/repro/qec/matching.py") == []
+
+    @pytest.mark.parametrize(
+        "path", ["tests/test_graph.py", "tests/qec/test_blossom.py", "tools/oracle.py"]
+    )
+    def test_tests_may_import_the_oracle(self, path):
+        assert codes("import networkx as nx", path) == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

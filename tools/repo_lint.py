@@ -60,6 +60,15 @@ R006  Axis-wise reduction in a kernel module (``statevector.py``,
       each row in the flat order instead (see
       ``statevector._pairwise_row_sums`` and ``statevector.collapse``).
 
+R007  An import of a test-only package under ``src/``: ``import networkx``,
+      ``from networkx... import ...`` or ``importlib.import_module`` /
+      ``__import__`` of it by literal name, anywhere in a module (function
+      bodies included).  networkx is the oracle the in-repo graph module
+      (``repro.utils.graph``) and blossom (``qec/blossom.py``) are tested
+      against, not a dependency of the program: importing it costs every
+      process start-up ~0.15 s, and a second graph path beside the in-repo
+      one would drift from it.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -94,6 +103,12 @@ R004_PASS_MODULES = (("transpiler", "passes.py"),)
 
 #: The one module allowed to coerce gate params with float() (R005).
 R005_ALLOWED = (("quantum", "parameters.py"),)
+
+#: R007 only applies to paths under a directory with one of these names.
+R007_DIRS = {"src"}
+
+#: Top-level packages only the tests may import (R007).
+TEST_ONLY_PACKAGES = {"networkx"}
 
 
 class Violation:
@@ -354,12 +369,51 @@ def _check_axis_reductions(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Absolute module names an import statement or literal-name
+    ``import_module`` / ``__import__`` call loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module] if node.level == 0 and node.module else []
+    if (
+        isinstance(node, ast.Call)
+        and _terminal_name(node.func) in ("import_module", "__import__")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ):
+        return [node.args[0].value]
+    return []
+
+
+def _check_test_only_imports(path: Path, tree: ast.AST) -> list[Violation]:
+    """R007: a test-only package imported by the program under ``src/``."""
+    if not R007_DIRS.intersection(path.parts[:-1]):
+        return []
+    found = []
+    for node in ast.walk(tree):
+        for module in _imported_modules(node):
+            package = module.split(".")[0]
+            if package in TEST_ONLY_PACKAGES:
+                found.append(
+                    Violation(
+                        path, node.lineno, "R007",
+                        f"import of test-only package {package!r} under src/: "
+                        "it is the tests' oracle, not a dependency; use "
+                        "repro.utils.graph (or qec.blossom) instead",
+                    )
+                )
+    return found
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
     _check_column_folded_matmul,
     _check_param_float_coercion,
     _check_axis_reductions,
+    _check_test_only_imports,
 )
 
 
