@@ -16,6 +16,7 @@ security boundary against adversarial code.
 from __future__ import annotations
 
 import builtins
+import functools
 import io
 import sys
 import threading
@@ -43,6 +44,15 @@ _SAFE_BUILTIN_NAMES = (
     "AttributeError", "RuntimeError", "Exception", "ZeroDivisionError",
     "StopIteration", "NameError",
 )
+
+#: The builtins surface every sandboxed program sees.  Each run gets its own
+#: copy (plus ``__import__``), because a program may rebind or delete names
+#: in its ``__builtins__`` and that must not leak into the next run.
+_SAFE_BUILTINS = {
+    name: getattr(builtins, name)
+    for name in _SAFE_BUILTIN_NAMES
+    if hasattr(builtins, name)
+}
 
 
 class _SandboxStdout:
@@ -139,6 +149,17 @@ class ExecutionResult:
         return self.namespace.get(name)
 
 
+@functools.lru_cache(maxsize=512)
+def _compile(code: str):
+    """The code object of one generated source text, compiled once.
+
+    It lives in this module so the inherited ``__future__`` flags are the
+    ones ``run_code`` always compiled with.  A ``SyntaxError`` propagates
+    and is not cached.
+    """
+    return compile(code, "<generated>", "exec")
+
+
 def run_code(
     code: str,
     timeout_instructions: int = 10_000_000,
@@ -151,19 +172,25 @@ def run_code(
     the repair loop consumes.  ``run_seed`` is the ambient seed applied to
     unseeded ``backend.run`` calls the program makes (``None`` restores true
     entropy).
+
+    The multi-pass loop re-runs the same candidate texts many times, so the
+    code object of each text is memoised (:func:`_compile`, bounded LRU).
+    That cannot change an outcome: a code object is immutable, and every run
+    still executes it in a fresh namespace over a fresh copy of the safe
+    builtins, with its own stdout buffer and stats scope.  A source that
+    fails to compile is never cached, so its result is rebuilt on each run.
+
+    ``timeout_instructions`` is accepted but not enforced yet: nothing reads
+    it, so a generated program that never terminates blocks its caller.
     """
     from repro.quantum.execution import ambient_seed, stats_scope
 
-    safe_builtins = {name: getattr(builtins, name) for name in _SAFE_BUILTIN_NAMES
-                     if hasattr(builtins, name)}
-    safe_builtins["True"] = True
-    safe_builtins["False"] = False
-    safe_builtins["None"] = None
+    safe_builtins = _SAFE_BUILTINS.copy()
     safe_builtins["__import__"] = _restricted_import
     namespace: dict = {"__builtins__": safe_builtins, "__name__": "__generated__"}
     buffer = io.StringIO()
     try:
-        compiled = compile(code, "<generated>", "exec")
+        compiled = _compile(code)
     except SyntaxError as exc:
         trace = f"SyntaxError: {exc.msg} (line {exc.lineno})"
         return ExecutionResult(

@@ -93,8 +93,17 @@ class UnionFindDecoder:
         self.code = code
         self.error_type = error_type
         self._space_graph = code.matching_graph(error_type)
+        #: Space-time graphs by ``rounds``; decoding only reads them.
+        self._graphs: dict[int, Graph] = {}
 
     # -- space-time graph -----------------------------------------------------
+
+    def _graph(self, rounds: int) -> Graph:
+        """The space-time graph for ``rounds``, built on first use."""
+        graph = self._graphs.get(rounds)
+        if graph is None:
+            graph = self._graphs[rounds] = self._build_graph(rounds)
+        return graph
 
     def _build_graph(self, rounds: int) -> Graph:
         """Replicate the spatial graph across rounds; add time edges."""
@@ -133,7 +142,7 @@ class UnionFindDecoder:
         if not events:
             return UnionFindResult(np.zeros(n, dtype=bool), 0, 0)
 
-        graph = self._build_graph(rounds)
+        graph = self._graph(rounds)
         defects = sorted({(t, c) for t, c in events})
         for node in defects:
             if node not in graph:

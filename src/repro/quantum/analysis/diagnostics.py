@@ -23,6 +23,8 @@ Severity bands (stable codes — tooling and tests key on them):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.quantum import gates as _gates
@@ -187,12 +189,40 @@ def unbound_parameter_errors(circuit: QuantumCircuit) -> list[Diagnostic]:
     return out
 
 
+def _unitary_verdict(matrix: np.ndarray) -> bool:
+    """Whether ``U @ U† = I`` holds for one gate matrix."""
+    identity = np.eye(matrix.shape[0])
+    return matrix.shape[0] == matrix.shape[1] and np.allclose(
+        matrix @ matrix.conj().T, identity, atol=UNITARY_ATOL
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _unitary_verdict_of_content(shape: tuple, dtype: str, data: bytes) -> bool:
+    """:func:`_unitary_verdict` memoised for the process by matrix content.
+
+    The verdict is computed from the key itself, so two matrices share it
+    only when their shape, dtype and bytes are equal.
+    """
+    return _unitary_verdict(np.frombuffer(data, dtype=dtype).reshape(shape))
+
+
+def _is_unitary(matrix: np.ndarray) -> bool:
+    if matrix.dtype.hasobject:
+        # Object arrays hold pointers, not values: no content key exists.
+        return _unitary_verdict(matrix)
+    return _unitary_verdict_of_content(
+        matrix.shape, matrix.dtype.str, matrix.tobytes()
+    )
+
+
 def _unitarity_errors(circuit: QuantumCircuit) -> list[Diagnostic]:
     """``QA104``: flag instructions whose matrix is missing or non-unitary.
 
     Gate specs are a mutable registry (custom registrations may supply
     arbitrary builders), so the matrix of each distinct ``(name, params)``
-    pair is checked once against ``U @ U† = I``.
+    pair is built afresh on every analysis; only the verdict on a matrix's
+    content is shared across analyses.
     """
     out: list[Diagnostic] = []
     checked: dict[tuple, bool] = {}
@@ -207,10 +237,8 @@ def _unitarity_errors(circuit: QuantumCircuit) -> list[Diagnostic]:
         verdict = checked.get(key)
         if verdict is None:
             try:
-                matrix = np.asarray(_gates.gate_matrix(inst.name, inst.params))
-                identity = np.eye(matrix.shape[0])
-                verdict = matrix.shape[0] == matrix.shape[1] and np.allclose(
-                    matrix @ matrix.conj().T, identity, atol=UNITARY_ATOL
+                verdict = _is_unitary(
+                    np.asarray(_gates.gate_matrix(inst.name, inst.params))
                 )
             except Exception:  # noqa: BLE001 - unknown gate = no unitary
                 verdict = False

@@ -8,6 +8,7 @@ IBM Eagle-class lattice used by :class:`repro.quantum.backend.FakeBrisbane`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 from types import MappingProxyType
 
@@ -187,6 +188,12 @@ class CouplingMap:
         return cmap
 
     @classmethod
+    @functools.cache
     def brisbane(cls) -> "CouplingMap":
-        """The 127-qubit Brisbane-class heavy-hex lattice."""
+        """The 127-qubit Brisbane-class heavy-hex lattice.
+
+        Built once per class per process and shared by every caller (each
+        ``FakeBrisbane()`` a generated program constructs included), which
+        is safe because nothing mutates a coupling map after ``__init__``.
+        """
         return cls.heavy_hex(7, 15, name="brisbane")

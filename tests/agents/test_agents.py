@@ -1,5 +1,8 @@
 """Multi-agent framework: sandbox, analyzer, QEC agent, orchestrator."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.agents.base import AgentMessage, EpisodeLog
 from repro.agents.codegen import CodeGenerationAgent, GenerationRequest
 from repro.agents.orchestrator import Orchestrator
 from repro.agents.qec_agent import QECAgent
+from repro.agents import sandbox
 from repro.agents.sandbox import run_code
 from repro.agents.semantic import SemanticAnalyzerAgent
 from repro.errors import TopologyError
@@ -68,6 +72,88 @@ class TestSandbox:
         result = run_code(code)
         assert not result.ok
         assert "Migration" in result.trace
+
+
+def _outcome(result):
+    """Every field of a result a rerun must reproduce (no simulations)."""
+    return (
+        result.ok, result.namespace, result.stdout, result.exception_type,
+        result.exception_message, result.trace,
+    )
+
+
+class TestSandboxIsolation:
+    """Each source compiles once; every run is still independent."""
+
+    SOURCES = (
+        "xs = [i * i for i in range(5)]\nprint(sum(xs))",
+        "from repro.quantum import QuantumCircuit\n"
+        "qc = QuantumCircuit(2)\nqc.h(0)\nqc.cx(0, 1)\nn = len(qc)",
+        "qc = foo(\n",
+        "d = {}\nprint('before')\nd['missing']",
+        "import os",
+        "print(len('abc'))",
+    )
+
+    def test_same_source_gets_a_fresh_namespace(self):
+        source = "xs = [1, 2, 3]\nprint(xs)"
+        first, second = run_code(source), run_code(source)
+        assert first.namespace is not second.namespace
+        assert first.namespace["xs"] is not second.namespace["xs"]
+        assert _outcome(first) == _outcome(second)
+
+    def test_mutated_builtins_do_not_leak_into_the_next_run(self):
+        broken = run_code("__builtins__['len'] = None\n__builtins__.pop('print')")
+        assert broken.ok
+        after = run_code("print(len('abc'))")
+        assert after.ok and after.stdout == "3\n"
+        assert sandbox._SAFE_BUILTINS["len"] is len
+        assert "__import__" not in sandbox._SAFE_BUILTINS
+
+    def test_repeated_syntax_error_is_identical(self):
+        first, second = run_code("def f(:\n  pass"), run_code("def f(:\n  pass")
+        assert first.exception_type == "SyntaxError"
+        assert first == second
+
+    def test_repeated_runtime_error_has_identical_trace(self):
+        source = "x = 1\ny = x / 0"
+        first, second = run_code(source), run_code(source)
+        assert first.exception_type == "ZeroDivisionError"
+        assert "<generated>" in first.trace
+        assert first.trace == second.trace
+        assert _outcome(first) == _outcome(second)
+
+    def test_threads_match_a_serial_run(self):
+        jobs = [self.SOURCES[i % len(self.SOURCES)] for i in range(48)]
+        serial = [_outcome(run_code(code)) for code in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = [
+                    _outcome(r) for r in pool.map(run_code, jobs, timeout=60)
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_repeated_source_hits_the_code_object_memo(self):
+        source = "memo_probe = 'compiled once'"
+        run_code(source)
+        before = sandbox._compile.cache_info()
+        run_code(source)
+        after = sandbox._compile.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+
+    def test_syntax_error_is_not_memoised(self):
+        source = "syntax error probe ("
+        before = sandbox._compile.cache_info()
+        run_code(source)
+        run_code(source)
+        after = sandbox._compile.cache_info()
+        assert after.hits == before.hits
+        assert after.currsize == before.currsize
 
 
 class TestSemanticAnalyzer:

@@ -149,6 +149,35 @@ class TestUnionFind:
         result = decoder.decode([(1, 2), (2, 2)], rounds=3)
         assert not result.correction.any()
 
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_memoised_graph_decodes_like_a_fresh_one(self, d, monkeypatch):
+        code = SurfaceCode(d)
+        shared = UnionFindDecoder(code, "x")
+        built = []
+        build = UnionFindDecoder._build_graph
+
+        def counting_build(self, rounds):
+            built.append((id(self), rounds))
+            return build(self, rounds)
+
+        monkeypatch.setattr(UnionFindDecoder, "_build_graph", counting_build)
+        rng = np.random.default_rng(100 + d)
+        for _ in range(60):
+            rounds = int(rng.integers(0, 4))
+            events = sorted({
+                (int(rng.integers(0, rounds + 1)),
+                 int(rng.integers(0, code.num_z_checks)))
+                for _ in range(int(rng.integers(1, 7)))
+            })
+            memo = shared.decode(events, rounds=rounds)
+            fresh = UnionFindDecoder(code, "x").decode(events, rounds=rounds)
+            assert np.array_equal(memo.correction, fresh.correction)
+            assert memo.num_growth_rounds == fresh.num_growth_rounds
+            assert memo.cluster_count == fresh.cluster_count
+        shared_builds = sorted(r for owner, r in built if owner == id(shared))
+        assert shared_builds == sorted(set(shared_builds))
+        assert set(shared_builds) == set(shared._graphs)
+
     def test_same_corrections_under_any_hash_seed(self):
         # The space-time graph's boundary node is a string tuple, so any
         # iteration over a set of nodes would follow PYTHONHASHSEED.

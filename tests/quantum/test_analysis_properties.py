@@ -171,6 +171,43 @@ class TestFlaggedMeansRefused:
             service.shutdown()
 
 
+class TestUnitarityMemo:
+    """QA104 verdicts are shared across analyses by matrix content, while
+    the gate registry stays mutable: a name is always judged on the matrix
+    its current builder returns."""
+
+    @staticmethod
+    def qa104(name: str, params: tuple = ()) -> bool:
+        qc = QuantumCircuit(1, 1)
+        qc.append(name, [0], params=params)
+        qc.measure(0, 0)
+        return "QA104" in [d.code for d in analyze_circuit(qc).errors]
+
+    def test_re_registered_gate_is_judged_on_its_new_matrix(self, monkeypatch):
+        from repro.quantum import gates
+
+        unitary = gates.GateSpec("g", 1, 0, lambda: gates.X_MATRIX.copy())
+        monkeypatch.setitem(gates.GATE_SPECS, "g", unitary)
+        assert not self.qa104("g")
+        assert not self.qa104("g")  # served from the memo
+        lossy = gates.GateSpec("g", 1, 0, lambda: gates.X_MATRIX * 0.5)
+        monkeypatch.setitem(gates.GATE_SPECS, "g", lossy)
+        assert self.qa104("g")
+
+    @pytest.mark.parametrize("scale", [0.7, 1.0 + 1e-4, 2.0, -0.5])
+    def test_scaled_identity_never_inherits_a_unitary_verdict(
+        self, monkeypatch, scale
+    ):
+        from repro.quantum import gates
+
+        scaled = gates.GateSpec("s_id", 1, 1, lambda k: np.eye(2) * k)
+        monkeypatch.setitem(gates.GATE_SPECS, "s_id", scaled)
+        for unit in (1.0, -1.0):
+            assert not self.qa104("s_id", (unit,))
+        assert self.qa104("s_id", (scale,))
+        assert not self.qa104("s_id", (1.0,))
+
+
 class TestDeterminism:
     def test_facts_and_analysis_are_deterministic(self):
         rng_a = np.random.default_rng(301)

@@ -77,6 +77,15 @@ class TestCouplingMap:
         assert cmap.is_connected()
         assert cmap.max_degree() <= 3  # the defining heavy-hex property
 
+    def test_brisbane_is_built_once_per_class(self):
+        class Recording(CouplingMap):
+            pass
+
+        assert CouplingMap.brisbane() is CouplingMap.brisbane()
+        assert type(Recording.brisbane()) is Recording
+        assert Recording.brisbane() is Recording.brisbane()
+        assert Recording.brisbane().edges == CouplingMap.brisbane().edges
+
     def test_distance_and_path(self):
         cmap = CouplingMap.linear(5)
         assert cmap.distance(0, 4) == 4

@@ -392,6 +392,52 @@ class TestR007TestOnlyImports:
         assert codes("import networkx as nx", path) == []
 
 
+class TestR008CodeExecution:
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("code = compile(src, '<x>', 'exec')", 1),
+            ("exec(code, namespace)", 1),
+            ("exec('x = 1')", 1),
+            ("import builtins\nbuiltins.exec(code, ns)", 2),
+            ("import builtins\nc = builtins.compile(src, 'f', 'eval')", 2),
+            ("def run(src):\n    return exec(compile(src, 'f', 'exec'))", 2),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "path", ["src/repro/agents/semantic.py", "src/repro/evalsuite/grader.py"]
+    )
+    def test_builtin_call_flagged_under_src(self, source, line, path):
+        found = lint(source, path)
+        assert {(v.rule, v.line) for v in found} == {("R008", line)}
+        assert "run_code" in found[0].message
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "pattern = re.compile(r'\\d+')",
+            "spec.loader.exec_module(module)",
+            "session.exec(query)",
+            "fn = compile",
+            "DOC = 'exec(code) and compile(src) are sandbox-only'",
+            "# exec(code)",
+        ],
+    )
+    def test_non_builtin_calls_allowed(self, source):
+        assert codes(source, "src/repro/agents/semantic.py") == []
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/agents/sandbox.py",
+            "tests/agents/test_agents.py",
+            "tools/repo_lint.py",
+        ],
+    )
+    def test_sandbox_and_outside_src_allowed(self, path):
+        assert codes("exec(compile(src, '<generated>', 'exec'), ns)", path) == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

@@ -69,6 +69,15 @@ R007  An import of a test-only package under ``src/``: ``import networkx``,
       process start-up ~0.15 s, and a second graph path beside the in-repo
       one would drift from it.
 
+R008  A call to the builtin ``compile()`` or ``exec()`` (bare, or as
+      ``builtins.compile`` / ``builtins.exec``) under ``src/`` outside
+      ``agents/sandbox.py``.  Generated code has one compile/exec entry
+      point, ``run_code``: it memoises code objects, restricts builtins and
+      imports, captures stdout and attributes simulations, and a second
+      entry point would skip all of that.  Method calls such as
+      ``re.compile`` or ``loader.exec_module`` are not the builtins and
+      never fire.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -104,11 +113,17 @@ R004_PASS_MODULES = (("transpiler", "passes.py"),)
 #: The one module allowed to coerce gate params with float() (R005).
 R005_ALLOWED = (("quantum", "parameters.py"),)
 
-#: R007 only applies to paths under a directory with one of these names.
-R007_DIRS = {"src"}
+#: R007 and R008 only apply to paths under a directory with one of these names.
+SRC_DIRS = {"src"}
 
 #: Top-level packages only the tests may import (R007).
 TEST_ONLY_PACKAGES = {"networkx"}
+
+#: Builtins that turn source text into running code (R008).
+CODE_EXECUTING_BUILTINS = {"compile", "exec"}
+
+#: The one module allowed to call them (R008).
+R008_ALLOWED = (("agents", "sandbox.py"),)
 
 
 class Violation:
@@ -389,7 +404,7 @@ def _imported_modules(node: ast.AST) -> list[str]:
 
 def _check_test_only_imports(path: Path, tree: ast.AST) -> list[Violation]:
     """R007: a test-only package imported by the program under ``src/``."""
-    if not R007_DIRS.intersection(path.parts[:-1]):
+    if not SRC_DIRS.intersection(path.parts[:-1]):
         return []
     found = []
     for node in ast.walk(tree):
@@ -407,6 +422,39 @@ def _check_test_only_imports(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
+def _calls_code_builtin(node: ast.AST) -> bool:
+    """``compile(...)``/``exec(...)``, bare or as ``builtins.<name>(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id in CODE_EXECUTING_BUILTINS
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in CODE_EXECUTING_BUILTINS
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "builtins"
+    )
+
+
+def _check_code_execution(path: Path, tree: ast.AST) -> list[Violation]:
+    """R008: builtin ``compile``/``exec`` under ``src/`` outside the sandbox."""
+    if not SRC_DIRS.intersection(path.parts[:-1]) or any(
+        path.parts[-len(suffix):] == suffix for suffix in R008_ALLOWED
+    ):
+        return []
+    return [
+        Violation(
+            path, node.lineno, "R008",
+            f"builtin {_terminal_name(node.func)}() outside the sandbox: "
+            "run generated code through repro.agents.sandbox.run_code, the "
+            "one compile/exec entry point",
+        )
+        for node in ast.walk(tree)
+        if _calls_code_builtin(node)
+    ]
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -414,6 +462,7 @@ CHECKS = (
     _check_param_float_coercion,
     _check_axis_reductions,
     _check_test_only_imports,
+    _check_code_execution,
 )
 
 
